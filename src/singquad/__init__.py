@@ -10,7 +10,8 @@ from .error_predictor import (CoefficientBounds, ErrorPrediction,
                               predicted_order, psi0_solve, recommend_n)
 from .experiments import (ExperimentRecord, SweepConfig, example_integrand,
                           fit_envelope_slope, report, run_sweep, write_csv)
-from .gauss_rule import QuadratureRule, apply_rule, compute_rule, remainder
+from .gauss_rule import (QuadratureRule, apply_rule, compute_rule,
+                         compute_rules, remainder)
 from .legendre import (AsymptoticDomain, XiCoordinate, bernstein_ratio_bound,
                        in_validity_domain, legendre_p, legendre_p_deriv,
                        legendre_q, max_qp_ratio_on_ellipse, p_asymptotic,

@@ -35,6 +35,18 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, yes/no or 1/0, got {text!r}") \
+            from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmin", type=int, default=10)
     p.add_argument("--nmax", type=int, default=600)
@@ -89,7 +101,10 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         if key in overrides or not hasattr(args, key):
             continue
         current = getattr(args, key)
-        caster = type(current) if current is not None else str
+        if isinstance(current, bool):
+            caster = _parse_bool
+        else:
+            caster = type(current) if current is not None else str
         setattr(args, key, caster(val))
 
 

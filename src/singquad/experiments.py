@@ -11,7 +11,7 @@ import numpy as np
 
 from .error_predictor import (PredictorConfig, coefficient_bounds,
                               leading_term, recommend_n)
-from .gauss_rule import apply_rule, compute_rule
+from .gauss_rule import apply_rule, compute_rules
 from .reference_oracle import exact_integral
 from .singularity_model import (Power, PowerLog, SingularIntegrand,
                                 gauss_envelope, phase)
@@ -89,9 +89,10 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     bounds = None
     if isinstance(f.family, Power) and f.envelope is None:
         bounds = coefficient_bounds(f)
+    sizes = range(cfg.n_min, cfg.n_max + 1)
     records = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        raw = apply_rule(compute_rule(n), f)
+    for n, rule in zip(sizes, compute_rules(sizes)):
+        raw = apply_rule(rule, f)
         err = exact - raw
         predicted = leading_term(f, n, cfg.predictor)
         rec = ExperimentRecord(

@@ -104,16 +104,35 @@ def legendre_p(n: int, z):
     return p[0] if scalar else p
 
 
-def _legendre_pair(n: int, x: np.ndarray):
-    """(P_n, P_{n-1}) on an array by forward recurrence."""
-    ones = np.ones_like(x)
-    if n == 0:
-        return ones, np.zeros_like(x)
-    pm, p = ones, x.copy()
+def _legendre_pair(n, x: np.ndarray):
+    """(P_n, P_{n-1}) on an array by forward recurrence.
+
+    n is one degree for all of x, or a 1-d integer array of per-point
+    degrees in descending order.  At step m only the prefix of points
+    with degree > m advances; the pairs of the points whose degree is
+    reached are stored, so each point sees exactly the arithmetic of a
+    single-degree call.
+    """
+    # live[m] = number of points with degree > m
+    if np.ndim(n) == 0:
+        live = [len(x)] * int(n)
+    else:
+        live = np.searchsorted(-n, -np.arange(n[0] if len(n) else 0)).tolist()
+    p_out, pm_out = np.ones_like(x), np.zeros_like(x)
+    if not live:
+        return p_out, pm_out
+    k = live[0]
+    xs = x[:k]
+    pm, p = np.ones_like(xs), xs
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n):
-            pm, p = p, ((2 * m + 1) * x * p - m * pm) / (m + 1)
-    return p, pm
+        for m in range(1, len(live)):
+            if live[m] < k:
+                cut = live[m]
+                p_out[cut:k], pm_out[cut:k] = p[cut:], pm[cut:]
+                k, xs, p, pm = cut, xs[:cut], p[:cut], pm[:cut]
+            pm, p = p, ((2 * m + 1) * xs * p - m * pm) / (m + 1)
+    p_out[:k], pm_out[:k] = p, pm
+    return p_out, pm_out
 
 
 def legendre_p_deriv(n: int, z):

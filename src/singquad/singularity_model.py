@@ -233,8 +233,15 @@ def jump(f: SingularIntegrand, y, n: int):
 
 
 def phase(f: SingularIntegrand, n: int) -> PhaseInfo:
-    """phi = arccos(b) and Psi = (2n+1) phi - pi/2 reduced mod 2 pi."""
+    """phi = arccos(b) and Psi = (2n+1) phi - pi/2 reduced mod 2 pi.
+
+    At b = 0 and odd n, b is the middle Gauss node and Psi = pi exactly;
+    the rounded reduction would leave sin Psi ~ 1e-16, which the kernel
+    denominator ~ y^2 of that phase turns into a spurious term.
+    """
     phi = f.phi
+    if f.b == 0.0 and n % 2 == 1:
+        return PhaseInfo(phi=phi, psi=math.pi, cos_psi=-1.0, sin_psi=0.0)
     psi = math.remainder((2 * n + 1) * phi - math.pi / 2, 2.0 * math.pi)
     return PhaseInfo(phi=phi, psi=psi,
                      cos_psi=math.cos(psi), sin_psi=math.sin(psi))
@@ -254,7 +261,10 @@ def parse_integrand(spec: str) -> SingularIntegrand:
     args = [float(a) for a in argstr.split(",")]
     if len(args) != 3:
         raise ValueError(f"expected (b, k, exponent), got {argstr!r}")
-    b, k, expo = args[0], int(args[1]), args[2]
+    b, k, expo = args
+    if not k.is_integer():
+        raise ValueError(f"k must be an integer, got {k:g}")
+    k = int(k)
     name = name.strip().lower()
     if name == "power":
         family = Power(k, expo)

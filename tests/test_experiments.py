@@ -129,6 +129,37 @@ class TestCli:
         assert len(picks) == 5
         assert all(100 <= p <= 130 for p in picks)
 
+    def test_example4_variant2_at_b_zero(self, tmp_path):
+        out = tmp_path / "ex4.csv"
+        code = main(["example", "4", "--variant", "2", "--b", "0",
+                     "--nmax", "120", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 112
+
+    @pytest.mark.parametrize("text,value", [("false", False), ("no", False),
+                                            ("0", False), ("true", True),
+                                            ("Yes", True), ("1", True)])
+    def test_config_booleans(self, tmp_path, text, value, monkeypatch):
+        import singquad.cli as cli
+        seen = []
+
+        def sweep_command(f, args):
+            seen.append(args.check)
+            return 0
+        monkeypatch.setattr(cli, "_sweep_command", sweep_command)
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"check = {text}\n")
+        main(["sweep", "--spec", "power(0.4, 0, 0.5)", "--config", str(cfgfile)])
+        assert seen == [value]
+
+    @pytest.mark.parametrize("text", ["", "off", "maybe", "2"])
+    def test_config_rejects_non_booleans(self, tmp_path, text):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"check = {text}\n")
+        with pytest.raises(ValueError):
+            main(["sweep", "--spec", "power(0.4, 0, 0.5)",
+                  "--config", str(cfgfile)])
+
     def test_config_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "sweep.cfg"
         cfgfile.write_text("nmin = 12\nnmax = 44\n")

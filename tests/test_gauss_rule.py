@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from singquad import apply_rule, compute_rule, legendre_p, remainder
+from singquad import (apply_rule, compute_rule, compute_rules, legendre_p,
+                      remainder)
+from singquad import gauss_rule
 
 # n=3 interior nodes are 0, +-sqrt(3/5) with weights 8/9, 5/9:
 # sum w x^6 = 2*(5/9)(3/5)^3 = 6/25, so the defect vs 2/7 is 8/175
@@ -121,3 +124,73 @@ def test_range_checks():
         compute_rule(0)
     with pytest.raises(ValueError):
         compute_rule(2001)
+
+
+# SHA-256 of nodes.tobytes() + weights.tobytes(), taken from the per-size
+# Newton builder that compute_rules replaced; the batched builder must
+# reproduce those rules bit for bit
+RULE_SHA256 = {
+    1: "0827fd05442d5279a37c60207e21a0e11585427eebdf4b2a0a35ded23a7cd9ed",
+    2: "8bc3471ba32ae7c75bef5be0c0cae1fbe4940faff696dc66310240849cffd3c9",
+    3: "8cc9f05c7d0a36ab02f6b2e07e784cf65e9f6215300a7695a933efe27981acaa",
+    10: "8c8612b3906a6a31972b301c4acb55225637ffa6bce2140ddba448ebc3e19203",
+    11: "8ca215caeae9a1973dc8207687ca457288d832a77789e1a7b6c8f9b9a374eabf",
+    101: "edf4792ca6ab53da5a9fedd937bbe4a810667352c44f92efee5b5362267cf3c3",
+    600: "a2bcce656916c40dc8b4d985d46c0b8a6ed2cda80491057b92ac7c1ceec55a32",
+    2000: "81ea16ddbed8289c60e2f2024bdb5c6bab0232c0e066bb2b1622d66a4abcedb6",
+}
+
+
+def _digest(rule):
+    return hashlib.sha256(rule.nodes.tobytes()
+                          + rule.weights.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(RULE_SHA256))
+def test_rule_bits_pinned(n):
+    assert _digest(compute_rule(n)) == RULE_SHA256[n]
+
+
+def test_batch_matches_single_size_batches(monkeypatch):
+    # one batch, whole and cut into small blocks, against one-size batches
+    sizes = list(range(2, 100)) + [397, 398, 801, 1200]
+
+    def digests(batches):
+        out = []
+        for batch in batches:
+            monkeypatch.setattr(gauss_rule, "_rules", {})
+            out += [_digest(r) for r in compute_rules(batch)]
+        return out
+
+    singles = digests([[n] for n in sizes])
+    assert digests([sizes]) == singles
+    monkeypatch.setattr(gauss_rule, "_BLOCK_NODES", 100)
+    assert digests([sizes]) == singles
+
+
+def test_compute_rules_order_and_cache():
+    rules = compute_rules([40, 7, 40, 1])
+    assert [r.n for r in rules] == [40, 7, 40, 1]
+    assert rules[0] is rules[2] is compute_rule(40)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_residual_check_rejects_perturbed_node(n):
+    half = compute_rule(n).nodes[n // 2:][::-1].copy()  # positive half, descending
+    gauss_rule._assemble([n], half)                      # the true nodes pass
+    half[3] += 1e-8
+    with pytest.raises(ValueError, match="not roots"):
+        gauss_rule._assemble([n], half)
+
+
+def test_compute_rules_range_checks():
+    for bad in ([0], [5, 2001], [2.0]):
+        with pytest.raises(ValueError):
+            compute_rules(bad)
+
+
+def test_newton_step_limit(monkeypatch):
+    monkeypatch.setattr(gauss_rule, "_rules", {})
+    monkeypatch.setattr(gauss_rule, "_NEWTON_MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match="n = 300"):
+        compute_rules([300, 20])

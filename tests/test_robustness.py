@@ -95,3 +95,16 @@ def test_small_alpha_predictor_still_converges():
     assert np.isfinite(v)
     red = power_case_leading(f, 80)
     assert v == pytest.approx(red, rel=1e-7)
+
+
+@pytest.mark.parametrize("f", [SingularIntegrand(0.0, Power(1, -0.5)),
+                               SingularIntegrand(0.0, PowerLog(1, 0.0))])
+def test_b_zero_gauss_node_odd_n(f):
+    # the integrand is odd about b = 0, so every odd-k leading term
+    # vanishes; at odd n, b is the middle node and Psi = pi, where the
+    # kernel's pole would amplify any rounding left in sin Psi
+    reduced = (power_case_leading if isinstance(f.family, Power)
+               else log_case_leading)
+    for n in [*range(11, 200, 8), 101]:
+        assert leading_term(f, n) == 0.0
+        assert reduced(f, n) == 0.0

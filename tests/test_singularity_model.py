@@ -140,6 +140,12 @@ class TestPhase:
             info = phase(SingularIntegrand(0.0, Power(0, 0.5)), n)
             assert abs(info.cos_psi) == pytest.approx(1.0, abs=1e-12)
 
+    def test_b_zero_odd_n_is_exactly_pi(self):
+        # b = 0 is then the middle Gauss node
+        for n in (11, 101, 599):
+            info = phase(SingularIntegrand(0.0, Power(1, -0.5)), n)
+            assert (info.psi, info.cos_psi, info.sin_psi) == (math.pi, -1.0, 0.0)
+
     def test_pi_over_six(self):
         f = SingularIntegrand(math.cos(math.pi / 6), Power(1, 0.5))
         info = phase(f, 1)
@@ -174,6 +180,13 @@ class TestParser:
         f = parse_integrand("power(0.4, 0, 1) envelope=gauss")
         assert f.envelope is not None
         assert f.envelope(0.4 + 0j) == pytest.approx(1.0)
+
+    def test_rejects_non_integer_k(self):
+        for bad in ("power(0.4, 1.5, 0.5)", "powerlog(0.4, 0.999, 0)",
+                    "power(0.4, inf, 0.5)", "power(0.4, nan, 0.5)"):
+            with pytest.raises(ValueError):
+                parse_integrand(bad)
+        assert parse_integrand("power(0.4, 1.0, 0.5)").family == Power(1, 0.5)
 
     def test_rejects_garbage(self):
         for bad in ("", "power(0.4)", "mystery(0,0,1)",
