@@ -12,9 +12,9 @@ from .experiments import (ExperimentRecord, SweepConfig, example_integrand,
                           fit_envelope_slope, report, run_sweep, write_csv)
 from .gauss_rule import (QuadratureRule, apply_rule, compute_rule,
                          compute_rules, remainder)
-from .legendre import (AsymptoticDomain, XiCoordinate, bernstein_ratio_bound,
-                       in_validity_domain, legendre_p, legendre_p_deriv,
-                       legendre_q, max_qp_ratio_on_ellipse, p_asymptotic,
+from .legendre import (AsymptoticDomain, XiCoordinate, in_validity_domain,
+                       legendre_p, legendre_p_deriv, legendre_q,
+                       max_qp_ratio_on_ellipse, p_asymptotic,
                        p_asymptotic_log, q_asymptotic, qp_ratio_asymptotic,
                        xi_of_z)
 from .reference_oracle import (ExactIntegral, exact_integral,
@@ -23,6 +23,6 @@ from .singularity_model import (GeneralJump, HolderClass, PhaseInfo, Power,
                                 PowerLog, SingularIntegrand, evaluate_real,
                                 gauss_envelope, holder_class, jump,
                                 parse_integrand, phase)
-from .special_functions import gamma_fn, zeta_fn
+from .special_functions import zeta_fn
 
 __version__ = "0.1.0"

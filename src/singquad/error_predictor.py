@@ -1,20 +1,35 @@
 """Leading-order Gauss-quadrature error for singular integrands.
 
-Implements the leading error term as a single real integral of the jump
-against the closed-form phase kernel, the parity-reduced forms for the
-power and power-log families, closed-form envelope bounds for the scaled
-coefficient n^(k+alpha+1) R_n, the phase equation whose root marks
-anomalously small errors, and quadrature-size recommendations.
+Every integral here is a real integral over y in (0, y_max] of a factor
+times the phase kernel
 
-Inner integrals use composite 32-point Gauss panels graded geometrically
-toward y = 0, where the integrand behaves like y^(k+alpha) (and like
-y^(k+alpha-1) at the cos Psi = -1 phase): a power substitution flattens
-that endpoint so each panel sees an analytic integrand and the dropped
-stub is negligible at every admissible exponent.
+    (e^-x + cos Psi) / (cosh x + cos Psi)  or  sin Psi / (cosh x + cos Psi),
+
+with x = 2y / sin phi; the strict envelopes for odd k use its bound
+1 / sinh x.  The factor is the jump of f across the cut for the general
+leading term, y^(k+alpha) (times the exact log bracket for power-log) for
+the parity-reduced forms and the power-log envelopes, and x^(k+alpha) at
+sin phi = 2 for the phase root cos Psi0.  The closed-form envelope bounds
+of the power family need no integral.  Two private helpers carry the
+rest:
+
+_phase_kernel(y, sin_phi, cos_psi) is the only place the kernel is
+written.  It returns e^-x + cos Psi and cosh x + cos Psi in expm1/sinh^2
+form, so the cos Psi -> -1 limit stays finite down to the smallest node.
+
+_integrate(g, y_max, sigma, panels) integrates g with composite 32-point
+Gauss panels graded geometrically toward y = 0, where the integrand
+behaves like y^sigma (and like y^(sigma-1) at cos Psi = -1): the
+substitution y = y_max u^p, p = max(1, 2/sigma), flattens that endpoint
+so each panel sees an analytic integrand and the dropped stub is
+negligible.  It also returns the sum over the outer half of the panels;
+leading_term rejects a value whose inner half, nearest y = 0, changes it
+by more than 1e-3.  The unit panels are cached per panel count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +38,7 @@ import numpy as np
 
 from .singularity_model import (GeneralJump, Power, PowerLog,
                                 SingularIntegrand, jump, phase)
-from .special_functions import gamma_fn, zeta_fn
+from .special_functions import zeta_fn
 
 __all__ = [
     "PredictorConfig",
@@ -46,18 +61,14 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    """Truncation M (upper limit M log n), total inner-quadrature budget,
-    and whether closed-form families integrate on [0, inf) instead."""
+    """Truncation M: integrands with an envelope or a general jump are
+    integrated on [0, M log n]."""
 
     M: float = 10.0
-    quad_points: int = 1920          # 60 geometric panels x 32 nodes
-    extend_to_infinity: bool = True
 
     def __post_init__(self):
         if self.M <= 0:
             raise ValueError("M must be positive")
-        if self.quad_points < 64:
-            raise ValueError("quad_points too small for a graded rule")
 
 
 DEFAULT_CONFIG = PredictorConfig()
@@ -78,7 +89,6 @@ class CoefficientBounds:
 
 @dataclass(frozen=True)
 class ErrorPrediction:
-    leading: Optional[float]
     order_exponent: float
     order_log_factor: bool
     regime_exponent: float
@@ -96,51 +106,38 @@ class LogEnvelope:
     attained: bool
 
 
-def _graded_nodes(y_max: float, quad_points: int, sigma: float = 2.0):
-    """Nodes/weights of the composite rule on (0, y_max].
+def _phase_kernel(y: np.ndarray, sin_phi: float, cos_psi: float):
+    """(e^-x + cos Psi, cosh x + cos Psi) at x = 2y/sin phi."""
+    x = 2.0 * y / sin_phi
+    cp1 = 1.0 + cos_psi  # grouped: adding 1.0 to expm1 first would absorb
+    return np.expm1(-x) + cp1, 2.0 * np.sinh(0.5 * x) ** 2 + cp1
 
-    Geometric halving toward 0 in the variable u, with y = y_max * u^p and
-    p = max(1, 2/sigma): near cos Psi = -1 the integrand behaves like
-    y^(sigma-1), and the substitution turns that into at least u^1 while
-    reducing the dropped stub to 2^(-60 p sigma).
-    """
-    # p capped so u^p cannot underflow to an exact zero node
-    p = min(16.0, max(1.0, 2.0 / max(sigma, 1e-3)))
-    panels = max(2, quad_points // len(_GL_X))
+
+@functools.lru_cache(maxsize=None)
+def _unit_panels(panels: int):
+    # panel j covers u in [2^-(j+1), 2^-j]
     edges = 0.5 ** np.arange(panels + 1)
     hi, lo = edges[:-1], edges[1:]
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     u = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
     wu = (half[:, None] * _GL_W[None, :]).ravel()
-    nodes = y_max * u ** p
-    weights = wu * y_max * p * u ** (p - 1.0)
-    return nodes, weights
+    u.setflags(write=False)
+    wu.setflags(write=False)
+    return u, wu
 
 
-def _kernel_complex(y: np.ndarray, sin_phi: float, cos_psi: float,
-                    sin_psi: float) -> np.ndarray:
-    """(i e^{-x} + i cos Psi + sin Psi) / (cosh x + cos Psi), x = 2y/sin phi.
-
-    Written in expm1/sinh^2 form so the cos Psi -> -1 limit stays finite
-    down to the smallest graded panel.
-    """
-    x = 2.0 * y / sin_phi
-    cp1 = 1.0 + cos_psi
-    den = 2.0 * np.sinh(0.5 * x) ** 2 + cp1
-    num = 1j * (np.expm1(-x) + cp1) + sin_psi
-    return num / den
-
-
-def _y_cap(f: SingularIntegrand, n: int, cfg: PredictorConfig) -> float:
-    sigma = f.singular_exponent
-    sin_phi = math.sin(f.phi)
-    truncated = cfg.M * math.log(n)
-    if not cfg.extend_to_infinity or f.envelope is not None \
-            or isinstance(f.family, GeneralJump):
-        return truncated
-    # e^{-2y/sin phi} tail below 1e-26 of scale
-    return sin_phi * (30.0 + 3.0 * max(sigma, 0.0))
+def _integrate(g, y_max: float, sigma: float, panels: int = 60):
+    """(int_0^y_max g, the same over the outer panels/2 panels) on the
+    graded rule; sigma sets the grading exponent p."""
+    # p capped so u^p cannot underflow to an exact zero node
+    p = min(16.0, max(1.0, 2.0 / max(sigma, 1e-3)))
+    u, wu = _unit_panels(panels)
+    y = y_max * u ** p
+    w = wu * y_max * p * u ** (p - 1.0)
+    vals = g(y)
+    head = panels // 2 * len(_GL_X)
+    return float(np.dot(w, vals)), float(np.dot(w[:head], vals[:head]))
 
 
 def leading_term(f: SingularIntegrand, n: int,
@@ -154,17 +151,19 @@ def leading_term(f: SingularIntegrand, n: int,
         raise ValueError("leading_term needs n >= 10")
     info = phase(f, n)
     sin_phi = math.sin(info.phi)
-    y_max = _y_cap(f, n, cfg)
     sigma = f.singular_exponent
+    if f.envelope is None and not isinstance(f.family, GeneralJump):
+        # e^{-2y/sin phi} tail below 1e-26 of scale
+        y_max = sin_phi * (30.0 + 3.0 * max(sigma, 0.0))
+    else:
+        y_max = cfg.M * math.log(n)
 
-    def integrate(points: int) -> float:
-        y, w = _graded_nodes(y_max, points, sigma)
-        vals = np.real(jump(f, y, n)
-                       * _kernel_complex(y, sin_phi, info.cos_psi, info.sin_psi))
-        return float(np.dot(w, vals)) / n
+    def g(y):
+        even, den = _phase_kernel(y, sin_phi, info.cos_psi)
+        return np.real(jump(f, y, n) * ((1j * even + info.sin_psi) / den))
 
-    full = integrate(cfg.quad_points)
-    check = integrate(cfg.quad_points // 2)
+    total, head = _integrate(g, y_max, sigma)
+    full, check = total / n, head / n
     if abs(full - check) > 1e-3 * max(abs(full), 1e-13):
         raise RuntimeError(
             f"inner quadrature did not converge (refinement gap "
@@ -177,17 +176,27 @@ def _parity_sign(k: int) -> float:
     return -1.0 if k % 4 in (0, 1) else 1.0
 
 
-def _reduced_kernel(k: int, y: np.ndarray, sin_phi: float, cos_psi: float,
-                    sin_psi: float) -> np.ndarray:
-    x = 2.0 * y / sin_phi
-    den = 2.0 * np.sinh(0.5 * x) ** 2 + (1.0 + cos_psi)
-    if k % 2 == 0:
-        return (np.expm1(-x) + (1.0 + cos_psi)) / den
-    return sin_psi / den
+def _reduced_leading(f: SingularIntegrand, n: int, k: int, sigma: float,
+                     reach: float, grade: float, scale: float,
+                     bracket=None) -> float:
+    """sign * scale * int_0^(reach sin phi) y^sigma bracket(y) N_k / D dy
+    / n^(sigma+1), with N_k / D the even or odd phase kernel of k."""
+    if f.envelope is not None:
+        raise TypeError("parity reduction does not cover envelopes")
+    info = phase(f, n)
+    sin_phi = math.sin(info.phi)
+
+    def g(y):
+        even, den = _phase_kernel(y, sin_phi, info.cos_psi)
+        kern = (even if k % 2 == 0 else info.sin_psi) / den
+        factor = y ** sigma if bracket is None else y ** sigma * bracket(y)
+        return factor * kern
+
+    integral, _ = _integrate(g, sin_phi * reach, grade)
+    return _parity_sign(k) * scale * integral / n ** (sigma + 1.0)
 
 
-def power_case_leading(f: SingularIntegrand, n: int,
-                       cfg: PredictorConfig = DEFAULT_CONFIG) -> float:
+def power_case_leading(f: SingularIntegrand, n: int) -> float:
     """Parity-reduced leading term for the power family:
 
         -+ (2 sin(alpha pi/2) / n^(k+alpha+1)) *
@@ -200,41 +209,26 @@ def power_case_leading(f: SingularIntegrand, n: int,
     fam = f.family
     if not isinstance(fam, Power):
         raise TypeError("power_case_leading requires a Power family")
-    if f.envelope is not None:
-        raise TypeError("parity reduction does not cover envelopes")
-    info = phase(f, n)
-    sin_phi = math.sin(info.phi)
     sigma = fam.k + fam.alpha
-    y, w = _graded_nodes(sin_phi * (30.0 + 3.0 * sigma), cfg.quad_points,
-                         sigma)
-    vals = y ** sigma * _reduced_kernel(fam.k, y, sin_phi,
-                                        info.cos_psi, info.sin_psi)
-    integral = float(np.dot(w, vals))
-    return (_parity_sign(fam.k) * 2.0 * math.sin(fam.alpha * math.pi / 2)
-            * integral / n ** (sigma + 1.0))
+    return _reduced_leading(f, n, fam.k, sigma, 30.0 + 3.0 * sigma, sigma,
+                            2.0 * math.sin(fam.alpha * math.pi / 2))
 
 
-def log_case_leading(f: SingularIntegrand, n: int,
-                     cfg: PredictorConfig = DEFAULT_CONFIG) -> float:
+def log_case_leading(f: SingularIntegrand, n: int) -> float:
     """Parity-reduced leading term for the power-log family, keeping the
     exact log(y) - log(n) bracket."""
     fam = f.family
     if not isinstance(fam, PowerLog):
         raise TypeError("log_case_leading requires a PowerLog family")
-    if f.envelope is not None:
-        raise TypeError("parity reduction does not cover envelopes")
-    info = phase(f, n)
-    sin_phi = math.sin(info.phi)
     sigma = fam.k + fam.beta
-    y, w = _graded_nodes(sin_phi * (32.0 + 3.0 * max(sigma, 0.0)),
-                         cfg.quad_points, max(sigma, 0.25))
-    bracket = (2.0 * math.sin(fam.beta * math.pi / 2)
-               * (np.log(y) - math.log(n))
-               + math.pi * math.sin((fam.beta + 1.0) * math.pi / 2))
-    vals = (y ** sigma * bracket
-            * _reduced_kernel(fam.k, y, sin_phi, info.cos_psi, info.sin_psi))
-    integral = float(np.dot(w, vals))
-    return _parity_sign(fam.k) * integral / n ** (sigma + 1.0)
+
+    def bracket(y):
+        return (2.0 * math.sin(fam.beta * math.pi / 2)
+                * (np.log(y) - math.log(n))
+                + math.pi * math.sin((fam.beta + 1.0) * math.pi / 2))
+
+    return _reduced_leading(f, n, fam.k, sigma, 32.0 + 3.0 * max(sigma, 0.0),
+                            max(sigma, 0.25), 1.0, bracket)
 
 
 def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
@@ -253,7 +247,7 @@ def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
     s = fam.k + fam.alpha
     sin_phi = math.sin(f.phi)
     base = (math.sin(fam.alpha * math.pi / 2) * sin_phi ** (s + 1.0)
-            * gamma_fn(s + 1.0) / 2.0 ** (s - 1.0) * zeta_fn(s + 1.0))
+            * math.gamma(s + 1.0) / 2.0 ** (s - 1.0) * zeta_fn(s + 1.0))
     if fam.k % 2 == 0:
         hi, lo = base, -(1.0 - 2.0 ** -s) * base
         if fam.k % 4 == 2:
@@ -262,13 +256,6 @@ def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
                                  attained=True)
     w = abs(base) * (1.0 - 2.0 ** -(s + 1.0))
     return CoefficientBounds(lower=-w, upper=w, attained=False)
-
-
-def _scaled_kernel_integral(g, sin_phi: float, sigma: float,
-                            quad_points: int = 1920) -> float:
-    y, w = _graded_nodes(sin_phi * (34.0 + 3.0 * max(sigma, 0.0)),
-                         quad_points, max(sigma, 0.25))
-    return float(np.dot(w, g(y)))
 
 
 def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
@@ -288,21 +275,20 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
     s_beta1 = math.sin((fam.beta + 1.0) * math.pi / 2)
     sign = _parity_sign(fam.k)
 
+    def integral(g):
+        return _integrate(g, sp * (34.0 + 3.0 * max(sigma, 0.0)),
+                          max(sigma, 0.25))[0]
+
     if fam.k % 2 == 0:
         def at(cos_psi: float):
-            cp1 = 1.0 + cos_psi  # grouped: adding 1.0 first would absorb
-
             def kern(y):
-                x = 2.0 * y / sp
-                return (y ** sigma * (np.expm1(-x) + cp1)
-                        / (2.0 * np.sinh(0.5 * x) ** 2 + cp1))
-            base = _scaled_kernel_integral(kern, sp, sigma)
+                even, den = _phase_kernel(y, sp, cos_psi)
+                return y ** sigma * even / den
 
             def kern_log(y):
-                x = 2.0 * y / sp
-                return (y ** sigma * np.log(y) * (np.expm1(-x) + cp1)
-                        / (2.0 * np.sinh(0.5 * x) ** 2 + cp1))
-            base_log = _scaled_kernel_integral(kern_log, sp, sigma)
+                even, den = _phase_kernel(y, sp, cos_psi)
+                return y ** sigma * np.log(y) * even / den
+            base, base_log = integral(kern), integral(kern_log)
             # scaled = sign * [2 s_beta (log y - log n) + pi s_beta1] * kernel
             a = -sign * 2.0 * s_beta * base
             b = sign * (2.0 * s_beta * base_log + math.pi * s_beta1 * base)
@@ -313,30 +299,25 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
         cand.sort(key=lambda ab: ab[0])
         return LogEnvelope(upper=cand[1], lower=cand[0], attained=True)
 
-    def inv_sinh(y):
-        x = 2.0 * y / sp
-        return y ** sigma / np.sinh(x)
-
-    def inv_sinh_log(y):
-        x = 2.0 * y / sp
-        return y ** sigma * np.abs(np.log(y)) / np.sinh(x)
-
-    a_sym = abs(2.0 * s_beta) * _scaled_kernel_integral(inv_sinh, sp, sigma)
-    b_sym = (math.pi * abs(s_beta1) * _scaled_kernel_integral(inv_sinh, sp, sigma)
-             + abs(2.0 * s_beta) * _scaled_kernel_integral(inv_sinh_log, sp, sigma))
+    base = integral(lambda y: y ** sigma / np.sinh(2.0 * y / sp))
+    base_log = integral(
+        lambda y: y ** sigma * np.abs(np.log(y)) / np.sinh(2.0 * y / sp))
+    a_sym = abs(2.0 * s_beta) * base
+    b_sym = math.pi * abs(s_beta1) * base + abs(2.0 * s_beta) * base_log
     return LogEnvelope(upper=(a_sym, b_sym), lower=(-a_sym, -b_sym),
                        attained=False)
 
 
-def psi0_residual(k: int, alpha: float, cos_psi0: float,
-                  quad_points: int = 2560) -> float:
+def psi0_residual(k: int, alpha: float, cos_psi0: float) -> float:
     """Value of int_0^inf x^(k+alpha) (e^-x + c)/(cosh x + c) dx at
     c = cos_psi0; the recommendation root is its zero."""
     sigma = k + alpha
-    y, w = _graded_nodes(70.0 + 3.0 * sigma, quad_points, sigma)
-    cp1 = 1.0 + cos_psi0
-    vals = y ** sigma * (np.expm1(-y) + cp1) / (2.0 * np.sinh(0.5 * y) ** 2 + cp1)
-    return float(np.dot(w, vals))
+
+    def g(y):
+        even, den = _phase_kernel(y, 2.0, cos_psi0)  # x = 2y/2 = y exactly
+        return y ** sigma * even / den
+
+    return _integrate(g, 70.0 + 3.0 * sigma, sigma, panels=80)[0]
 
 
 def psi0_solve(k: int, alpha: float) -> float:
@@ -369,9 +350,9 @@ def _predicted_coefficient(f: SingularIntegrand, n: int,
                            cfg: PredictorConfig) -> float:
     fam = f.family
     if isinstance(fam, Power) and f.envelope is None:
-        lead = power_case_leading(f, n, cfg)
+        lead = power_case_leading(f, n)
     elif isinstance(fam, PowerLog) and f.envelope is None:
-        lead = log_case_leading(f, n, cfg)
+        lead = log_case_leading(f, n)
     else:
         lead = leading_term(f, n, cfg)
     return lead * n ** (f.singular_exponent + 1.0)
@@ -406,8 +387,7 @@ def predicted_order(f: SingularIntegrand) -> ErrorPrediction:
     bounds = None
     if isinstance(f.family, Power):
         bounds = coefficient_bounds(f)
-    return ErrorPrediction(leading=None,
-                           order_exponent=sigma + 1.0,
+    return ErrorPrediction(order_exponent=sigma + 1.0,
                            order_log_factor=order_log,
                            regime_exponent=regime,
                            regime_log_factor=regime_log,

@@ -8,7 +8,8 @@ each pass runs one forward Legendre recurrence with per-node degrees
 8k nodes.  Each size stops on its own max |dx| < 1e-15 and then takes
 two polishing steps; odd sizes get the exact middle node 0.  One last
 pass gives P_n and P_{n-1} at the final nodes, which feed both the
-weights 2 / ((1-x^2) P_n'(x)^2) and the residual check max |P_n(x_j)|.
+weights 2 / ((1-x^2) P_n'(x)^2) and the per-node residual check on
+|P_n(x_j)|.
 Nodes and weights are mirrored from the positive half, so x_j = -x_{n+1-j}
 and w_j = w_{n+1-j} hold exactly, and a rule has the same bits whichever
 batch built it.  compute_rule(n) is a cache lookup, or compute_rules([n]).
@@ -133,9 +134,11 @@ def _assemble(sizes: list[int], x: np.ndarray) -> list[QuadratureRule]:
     """Rules from the positive-half nodes x that _newton returns.
 
     One recurrence pass gives P_n and P_{n-1} at the nodes; they feed the
-    residual check and the weights.  Even perfectly rounded nodes leave
-    |P_n| up to |P_n'| ulp/2, about 4e-12 at the extreme nodes near
-    n = 600, hence the tolerance max(1e-11, 100 n eps).
+    residual check and the weights.  Even a perfectly rounded node x_j
+    leaves |P_n(x_j)| up to |P_n'(x_j)| ulp(x_j)/2, about 4e-12 at the
+    extreme nodes near n = 600 and 4e-11 near n = 2000, and evaluating
+    P_n adds noise, hence the per-node tolerance
+    max(1e-11, 100 n eps) + |P_n'(x_j)| ulp(x_j).
     """
     halves = [(n + 1) // 2 for n in sizes]
     starts = np.cumsum([0] + halves[:-1])
@@ -143,12 +146,14 @@ def _assemble(sizes: list[int], x: np.ndarray) -> list[QuadratureRule]:
     p, pm = _legendre_pair(deg, x)
     dp = deg * (x * p - pm) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    resid = np.maximum.reduceat(np.abs(p), starts)
+    tol = (np.maximum(1e-11, 100.0 * deg * 2.2e-16)
+           + np.abs(dp) * np.spacing(np.abs(x)))
+    ratio = np.maximum.reduceat(np.abs(p) / tol, starts)
     rules = []
-    for n, lo, h, r in zip(sizes, starts.tolist(), halves, resid.tolist()):
-        tol = max(1e-11, 100.0 * n * 2.2e-16)
-        if not r <= tol:
-            raise ValueError(f"nodes are not roots of P_{n} (resid {r:.2e})")
+    for n, lo, h, r in zip(sizes, starts.tolist(), halves, ratio.tolist()):
+        if not r <= 1.0:
+            raise ValueError(f"nodes are not roots of P_{n} "
+                             f"(residual {r:.2e} x tolerance)")
         # P_n(-x) = (-1)^n P_n(x) and negation are exact, so the weights
         # of the negative half equal those of the positive half bit for bit
         xh, wh = x[lo:lo + h], w[lo:lo + h]

@@ -5,7 +5,7 @@ cut by a backward-stable hybrid (continued fraction away from [-1,1],
 Neumann's formula close to it), the two-exponential uniform asymptotic
 form for P_n with its 1/n corrections, the single-exponential form for
 Q_n, the closed-form Q_n/P_n ratio on vertical lines through an interior
-point of (-1,1), and the Bernstein-ellipse ratio bound.
+point of (-1,1), and the sampled ratio maximum on the Bernstein ellipse.
 
 Branch convention: xi = log(z + sqrt(z^2-1)) with the principal branch,
 so xi > 0 for real z > 1 and xi -> i*arccos(x) on the upper side of the
@@ -31,7 +31,6 @@ __all__ = [
     "p_asymptotic_log",
     "q_asymptotic",
     "qp_ratio_asymptotic",
-    "bernstein_ratio_bound",
     "max_qp_ratio_on_ellipse",
     "in_validity_domain",
 ]
@@ -313,16 +312,6 @@ def qp_ratio_asymptotic(n: int, b: float, y: float) -> complex:
         e = cmath.exp(complex(-x, -psi))
         return -1j * math.pi * e / (1.0 + e)
     return -1j * math.pi / (cmath.exp(complex(x, psi)) + 1.0)
-
-
-def bernstein_ratio_bound(n: int, M: float) -> float:
-    """Decay order n^(-2M) of |Q_n/P_n| on the Bernstein ellipse
-    |z + sqrt(z^2-1)| = 1 + M log n / n."""
-    if M <= 0:
-        raise ValueError("M must be positive")
-    if n < 10:
-        raise ValueError("bound is asymptotic; use n >= 10")
-    return float(n) ** (-2.0 * M)
 
 
 def max_qp_ratio_on_ellipse(n: int, M: float, samples: int = 24) -> float:

@@ -8,6 +8,7 @@ the singular point, so every panel sees a smooth integrand on one side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +28,33 @@ class ExactIntegral:
     est_abs_error: float
 
 
-def _power_closed_form(b: float, k: int, alpha: float) -> float:
+def _rounding_error(m: float, magnitude: float) -> float:
+    """Error estimate of a closed form whose two side terms sum to the
+    given magnitude: rounding 1 -+ b costs about (m + 1)/2 ulps once
+    raised to the power m + 1, and pow, log and the divisions a few more."""
+    return (m + 4.0) * sys.float_info.epsilon * magnitude
+
+
+def _power_closed_form(b: float, k: int, alpha: float) -> tuple[float, float]:
     m = k + alpha
-    return ((1.0 - b) ** (m + 1) + (-1.0) ** k * (1.0 + b) ** (m + 1)) / (m + 1)
+    lo, hi = (1.0 - b) ** (m + 1), (1.0 + b) ** (m + 1)
+    return ((lo + (-1.0) ** k * hi) / (m + 1),
+            _rounding_error(m, (lo + hi) / (m + 1)))
 
 
-def _powerlog_side(T: float, m: float) -> float:
-    # integral of t^m log t over (0, T]
-    return T ** (m + 1) * (math.log(T) / (m + 1) - 1.0 / (m + 1) ** 2)
+def _powerlog_side(T: float, m: float) -> tuple[float, float]:
+    # integral of t^m log t over (0, T], and the magnitude of its terms
+    tm = T ** (m + 1)
+    return (tm * (math.log(T) / (m + 1) - 1.0 / (m + 1) ** 2),
+            tm * (abs(math.log(T)) / (m + 1) + 1.0 / (m + 1) ** 2))
 
 
-def _powerlog_closed_form(b: float, k: int, beta: float) -> float:
+def _powerlog_closed_form(b: float, k: int,
+                          beta: float) -> tuple[float, float]:
     m = k + beta
-    return _powerlog_side(1.0 - b, m) + (-1.0) ** k * _powerlog_side(1.0 + b, m)
+    lo, lo_mag = _powerlog_side(1.0 - b, m)
+    hi, hi_mag = _powerlog_side(1.0 + b, m)
+    return lo + (-1.0) ** k * hi, _rounding_error(m, lo_mag + hi_mag)
 
 
 def _gl15(g, lo: float, hi: float) -> float:
@@ -77,11 +92,11 @@ def exact_integral(f: SingularIntegrand) -> ExactIntegral:
     """Exact value of the integral of f over [-1, 1]."""
     fam = f.family
     if f.envelope is None and isinstance(fam, Power):
-        return ExactIntegral(_power_closed_form(f.b, fam.k, fam.alpha),
-                             "closed_form", 1e-15)
+        value, err = _power_closed_form(f.b, fam.k, fam.alpha)
+        return ExactIntegral(value, "closed_form", err)
     if f.envelope is None and isinstance(fam, PowerLog):
-        return ExactIntegral(_powerlog_closed_form(f.b, fam.k, fam.beta),
-                             "closed_form", 1e-15)
+        value, err = _powerlog_closed_form(f.b, fam.k, fam.beta)
+        return ExactIntegral(value, "closed_form", err)
     if isinstance(fam, (Power, PowerLog, GeneralJump)):
         return split_adaptive_integral(f)
     raise ValueError(f"unsupported integrand family {type(fam).__name__}")

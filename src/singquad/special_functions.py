@@ -1,12 +1,10 @@
-"""Real-argument gamma and Riemann zeta.
+"""Real-argument Riemann zeta.
 
-Only what the closed-form coefficient bounds need: gamma on (0, inf) and
-zeta on (1, inf), both in double precision.
+Only what the closed-form coefficient bounds need: zeta on (1, inf) in
+double precision.
 """
 
-import math
-
-__all__ = ["gamma_fn", "zeta_fn"]
+__all__ = ["zeta_fn"]
 
 # Euler-Maclaurin tail: fixed cutoff and four Bernoulli corrections give
 # ~1e-15 relative error anywhere on s in (1.05, 10].
@@ -17,17 +15,6 @@ _BERNOULLI_OVER_FACT = (
     (1.0 / 42.0) / 720.0,         # B6/6!
     (-1.0 / 30.0) / 40320.0,      # B8/8!
 )
-
-
-def gamma_fn(s: float) -> float:
-    """Gamma(s) for s > 0.
-
-    Backed by the C library's Lanczos-quality implementation; the wrapper
-    only enforces the positive-axis domain this package relies on.
-    """
-    if not s > 0.0:
-        raise ValueError(f"gamma_fn requires s > 0, got {s}")
-    return math.gamma(s)
 
 
 def zeta_fn(s: float) -> float:

@@ -194,3 +194,15 @@ def test_newton_step_limit(monkeypatch):
     monkeypatch.setattr(gauss_rule, "_NEWTON_MAX_STEPS", 2)
     with pytest.raises(RuntimeError, match="n = 300"):
         compute_rules([300, 20])
+
+
+@pytest.mark.parametrize("n", [1870, 1960, 1987])
+def test_sizes_near_the_old_residual_tolerance(n):
+    # a flat max(1e-11, 100 n eps) tolerance rejected these sizes: their
+    # extreme nodes leave |P_n| just above it from rounding alone
+    r = compute_rule(n)
+    x_ref, _ = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(r.nodes - x_ref)) <= 4e-16
+    for m in range(5):
+        assert abs(np.dot(r.weights, r.nodes ** (2 * m)) - 2.0 / (2 * m + 1)) \
+            <= 1e-13

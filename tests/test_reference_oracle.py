@@ -76,3 +76,25 @@ def test_powerlog_frozen_reference():
     side = lambda T: T * T * (math.log(T) / 2 - 0.25)
     assert exact_integral(f).value == pytest.approx(side(0.6) + side(1.4),
                                                     abs=1e-15)
+
+
+
+@pytest.mark.parametrize("b,k,frac,log", [
+    (0.9, 10, 2.0, False), (0.9, 9, 1.0, True), (0.4, 1, 0.3, False),
+])
+def test_closed_form_error_estimate_covers_rounding(b, k, frac, log):
+    # the same closed form in 40 digits; rounding 1 + b and raising it to
+    # the power k + frac + 1 costs some 1e-13 at large k
+    mp = pytest.importorskip("mpmath")
+    family = PowerLog(k, frac) if log else Power(k, frac)
+    res = exact_integral(SingularIntegrand(b, family))
+    with mp.workdps(40):
+        m = k + mp.mpf(frac)
+
+        def side(t):
+            if log:
+                return t ** (m + 1) * (mp.log(t) / (m + 1) - 1 / (m + 1) ** 2)
+            return t ** (m + 1) / (m + 1)
+        ref = side(1 - mp.mpf(b)) + (-1) ** k * side(1 + mp.mpf(b))
+        err = float(abs(mp.mpf(res.value) - ref))
+    assert err <= res.est_abs_error <= 1e-11

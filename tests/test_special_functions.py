@@ -3,31 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from singquad import gamma_fn, zeta_fn
+from singquad import zeta_fn
 
-# frozen oracle values: Gamma(2.5) = 1.5 * 0.5 * sqrt(pi) exactly;
 # zeta references from a 30-digit Euler-Maclaurin evaluation (mpmath)
-GAMMA_25 = 1.3293403881791370205
 ZETA_15 = 2.6123753486854883
 ZETA_25 = 1.3414872572509171
-
-
-def test_gamma_integer_and_half():
-    assert gamma_fn(3.0) == pytest.approx(2.0, rel=1e-14)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_fn(2.5) == pytest.approx(GAMMA_25, rel=1e-12)
-
-
-def test_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            gamma_fn(bad)
-
-
-def test_gamma_recursion():
-    rng = np.random.default_rng(42)
-    for s in rng.uniform(0.1, 9.0, size=100):
-        assert gamma_fn(s + 1.0) == pytest.approx(s * gamma_fn(s), rel=1e-11)
 
 
 def test_zeta_classical_values():
