@@ -4,19 +4,19 @@ singularity."""
 
 from .corrected_quadrature import CorrectedResult, corrected_integral
 from .error_predictor import (CoefficientBounds, ErrorPrediction,
-                              PredictorConfig, coefficient_bounds,
-                              leading_term, log_case_leading,
-                              log_envelope_constants, power_case_leading,
-                              predicted_order, psi0_solve, recommend_n)
-from .experiments import (ExperimentRecord, SweepConfig, example_integrand,
+                              coefficient_bounds, leading_term,
+                              log_case_leading, log_envelope_constants,
+                              power_case_leading, predicted_order,
+                              psi0_solve, recommend_n)
+from .experiments import (ExperimentRecord, SweepConfig,
+                          envelope_violations, example_integrand,
                           fit_envelope_slope, report, run_sweep, write_csv)
 from .gauss_rule import (QuadratureRule, apply_rule, compute_rule,
                          compute_rules, remainder)
-from .legendre import (AsymptoticDomain, XiCoordinate, in_validity_domain,
-                       legendre_p, legendre_p_deriv, legendre_q,
-                       max_qp_ratio_on_ellipse, p_asymptotic,
-                       p_asymptotic_log, q_asymptotic, qp_ratio_asymptotic,
-                       xi_of_z)
+from .legendre import (XiCoordinate, in_validity_domain, legendre_p,
+                       legendre_p_deriv, legendre_q, max_qp_ratio_on_ellipse,
+                       p_asymptotic, p_asymptotic_log, q_asymptotic,
+                       qp_ratio_asymptotic, xi_of_z)
 from .reference_oracle import (ExactIntegral, exact_integral,
                                split_adaptive_integral)
 from .singularity_model import (GeneralJump, HolderClass, PhaseInfo, Power,

@@ -1,42 +1,42 @@
 """Command-line interface.
 
     singquad example 1 --alpha 0.5 --nmin 10 --nmax 600 --out ex1.csv
-    singquad sweep --spec "power(0.4, 0, 0.5)" --out sweep.csv
+    singquad sweep --spec "power(0.4, 0, 0.5)" --out sweep.csv --check
     singquad predict --spec "power(0.4, 0, 0.5)" --n 200
     singquad recommend --spec "power(0.4, 1, 1)" --nmin 100 --nmax 200
+    singquad sweep --spec "power(0.4, 0, 0.5)" --config sweep.cfg
 
-With --check, a sweep exits nonzero if any scaled coefficient violates
-the closed-form envelope (power families with attained bounds only).
+With --check, a sweep exits nonzero if a scaled coefficient at n >= 100
+lies outside the closed-form envelope (power family without an
+envelope) by more than the Gauss sum's rounding allowance; report
+prints the same count (experiments.envelope_violations).
+
+--config FILE holds `key = value` lines; blank lines and # comments are
+skipped.  Each line becomes the flag --key=value, placed ahead of the
+command-line flags, so those win.  `check` takes true/false, yes/no or
+1/0.  An unknown key is a usage error; a line without `=` raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .error_predictor import (PredictorConfig, leading_term,
-                              predicted_order, psi0_solve, recommend_n)
-from .experiments import (SweepConfig, example_integrand, report,
-                          run_sweep)
+from .error_predictor import (leading_term, predicted_order, psi0_solve,
+                              recommend_n)
+from .experiments import (SweepConfig, envelope_violations,
+                          example_integrand, report, run_sweep, write_csv)
 from .reference_oracle import exact_integral
 from .singularity_model import Power, parse_integrand
 
-
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
-
-
 _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
+_SWITCHES = ("check",)   # keys whose flag takes no value
+
+_CONFIG = argparse.ArgumentParser(prog="singquad", add_help=False)
+_CONFIG.add_argument("--config", default=None,
+                     help="key = value file; command-line flags override it")
 
 
 def _parse_bool(text: str) -> bool:
@@ -47,16 +47,38 @@ def _parse_bool(text: str) -> bool:
             from None
 
 
+def _config_flags(path: str) -> list[str]:
+    """The `key = value` lines of a config file as command-line flags."""
+    flags = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}: expected key = value, got {line!r}")
+            key, val = key.strip(), val.strip()
+            if key not in _SWITCHES:
+                flags.append(f"--{key}={val}")
+            elif _parse_bool(val):
+                flags.append(f"--{key}")
+    return flags
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmin", type=int, default=10)
     p.add_argument("--nmax", type=int, default=600)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--check", action="store_true",
-                   help="exit nonzero on envelope violations")
-    p.add_argument("--M", type=float, default=10.0,
-                   help="truncation constant of the prediction integral")
-    p.add_argument("--config", default=None,
-                   help="key=value file; command-line flags override it")
+                   help="exit nonzero on envelope violations at n >= 100")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gauss-Legendre error prediction for singular integrands")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ex = sub.add_parser("example", help="reproduce a stock experiment")
+    p_ex = sub.add_parser("example", parents=[_CONFIG],
+                          help="reproduce a stock experiment")
     p_ex.add_argument("id", type=int, choices=range(1, 6))
     p_ex.add_argument("--alpha", type=float, default=0.5)
     p_ex.add_argument("--k", type=int, default=0)
@@ -73,51 +96,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--variant", type=int, default=1, choices=(1, 2))
     _add_common(p_ex)
 
-    p_sw = sub.add_parser("sweep", help="sweep n for a custom integrand")
+    p_sw = sub.add_parser("sweep", parents=[_CONFIG],
+                          help="sweep n for a custom integrand")
     p_sw.add_argument("--spec", required=True)
     _add_common(p_sw)
 
-    p_pr = sub.add_parser("predict", help="predict the error at one n")
+    p_pr = sub.add_parser("predict", parents=[_CONFIG],
+                          help="predict the error at one n")
     p_pr.add_argument("--spec", required=True)
     p_pr.add_argument("--n", type=int, required=True)
-    p_pr.add_argument("--M", type=float, default=10.0)
-    p_pr.add_argument("--config", default=None)
 
-    p_rec = sub.add_parser("recommend", help="rank quadrature sizes")
+    p_rec = sub.add_parser("recommend", parents=[_CONFIG],
+                           help="rank quadrature sizes")
     p_rec.add_argument("--spec", required=True)
     p_rec.add_argument("--nmin", type=int, required=True)
     p_rec.add_argument("--nmax", type=int, required=True)
-    p_rec.add_argument("--top", type=int, default=10)
-    p_rec.add_argument("--M", type=float, default=10.0)
-    p_rec.add_argument("--config", default=None)
+    p_rec.add_argument("--top", type=_positive_int, default=10)
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    overrides = {a.lstrip("-").split("=")[0] for a in argv if a.startswith("--")}
-    for key, val in _load_config_file(args.config).items():
-        if key in overrides or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            caster = _parse_bool
-        else:
-            caster = type(current) if current is not None else str
-        setattr(args, key, caster(val))
-
-
 def _sweep_command(f, args) -> int:
-    cfg = SweepConfig(integrand=f, n_min=args.nmin, n_max=args.nmax,
-                      predictor=PredictorConfig(M=args.M), out=args.out)
+    cfg = SweepConfig(integrand=f, n_min=args.nmin, n_max=args.nmax)
     records = run_sweep(cfg)
+    if args.out:
+        write_csv(records, args.out)
     sys.stdout.write(report(records, cfg))
     if args.check:
-        bad = [r for r in records
-               if not math.isnan(r.bound_lo)
-               and not r.bound_lo <= r.scaled_coeff <= r.bound_hi
-               and r.n >= 100 and not r.floored]
+        bad = envelope_violations(records, f)
         if bad:
             sys.stderr.write(f"check failed: {len(bad)} envelope "
                              f"violations at n >= 100\n")
@@ -127,8 +132,10 @@ def _sweep_command(f, args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    config = _CONFIG.parse_known_args(argv)[0].config
+    if config is not None:
+        argv[1:1] = _config_flags(config)  # after the command: flags win
     args = build_parser().parse_args(argv)
-    _apply_config_file(args, argv)
 
     if args.command == "example":
         f = example_integrand(args.id, alpha=args.alpha, k=args.k,
@@ -140,8 +147,7 @@ def main(argv=None) -> int:
 
     if args.command == "predict":
         f = parse_integrand(args.spec)
-        cfg = PredictorConfig(M=args.M)
-        lead = leading_term(f, args.n, cfg)
+        lead = leading_term(f, args.n)
         order = predicted_order(f)
         exact = exact_integral(f)
         print(f"integral (oracle, {exact.method}): {exact.value:.15g}")
@@ -163,8 +169,7 @@ def main(argv=None) -> int:
 
     if args.command == "recommend":
         f = parse_integrand(args.spec)
-        best = recommend_n(f, args.nmin, args.nmax,
-                           PredictorConfig(M=args.M))[:args.top]
+        best = recommend_n(f, args.nmin, args.nmax)[:args.top]
         print(" ".join(str(n) for n in best))
         return 0
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .error_predictor import DEFAULT_CONFIG, PredictorConfig, leading_term
+from .error_predictor import leading_term
 from .gauss_rule import apply_rule, compute_rule
 from .singularity_model import SingularIntegrand
 
@@ -23,10 +23,9 @@ class CorrectedResult:
     corrected: float
 
 
-def corrected_integral(f: SingularIntegrand, n: int,
-                       cfg: PredictorConfig = DEFAULT_CONFIG) -> CorrectedResult:
+def corrected_integral(f: SingularIntegrand, n: int) -> CorrectedResult:
     """Raw n-point result plus the leading-term correction."""
     raw = apply_rule(compute_rule(n), f)
-    correction = leading_term(f, n, cfg)
+    correction = leading_term(f, n)
     return CorrectedResult(n=n, raw=raw, correction=correction,
                            corrected=raw + correction)

@@ -41,7 +41,6 @@ from .singularity_model import (GeneralJump, Power, PowerLog,
 from .special_functions import zeta_fn
 
 __all__ = [
-    "PredictorConfig",
     "ErrorPrediction",
     "CoefficientBounds",
     "LogEnvelope",
@@ -57,21 +56,7 @@ __all__ = [
 ]
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
-
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    """Truncation M: integrands with an envelope or a general jump are
-    integrated on [0, M log n]."""
-
-    M: float = 10.0
-
-    def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("M must be positive")
-
-
-DEFAULT_CONFIG = PredictorConfig()
+_TRUNCATION = 10.0   # envelopes and general jumps: y in [0, 10 log n]
 
 
 @dataclass(frozen=True)
@@ -140,11 +125,10 @@ def _integrate(g, y_max: float, sigma: float, panels: int = 60):
     return float(np.dot(w, vals)), float(np.dot(w[:head], vals[:head]))
 
 
-def leading_term(f: SingularIntegrand, n: int,
-                 cfg: PredictorConfig = DEFAULT_CONFIG) -> float:
+def leading_term(f: SingularIntegrand, n: int) -> float:
     """Leading error term: (1/n) int Re([f](b+iy/n) K(y)) dy.
 
-    Integrates on [0, M log n], or on the equivalent of [0, inf) for
+    Integrates on [0, 10 log n], or on the equivalent of [0, inf) for
     closed-form families without an envelope.
     """
     if n < 10:
@@ -156,7 +140,7 @@ def leading_term(f: SingularIntegrand, n: int,
         # e^{-2y/sin phi} tail below 1e-26 of scale
         y_max = sin_phi * (30.0 + 3.0 * max(sigma, 0.0))
     else:
-        y_max = cfg.M * math.log(n)
+        y_max = _TRUNCATION * math.log(n)
 
     def g(y):
         even, den = _phase_kernel(y, sin_phi, info.cos_psi)
@@ -346,20 +330,18 @@ def psi0_solve(k: int, alpha: float) -> float:
     raise RuntimeError("phase-root bisection did not converge")
 
 
-def _predicted_coefficient(f: SingularIntegrand, n: int,
-                           cfg: PredictorConfig) -> float:
+def _predicted_coefficient(f: SingularIntegrand, n: int) -> float:
     fam = f.family
     if isinstance(fam, Power) and f.envelope is None:
         lead = power_case_leading(f, n)
     elif isinstance(fam, PowerLog) and f.envelope is None:
         lead = log_case_leading(f, n)
     else:
-        lead = leading_term(f, n, cfg)
+        lead = leading_term(f, n)
     return lead * n ** (f.singular_exponent + 1.0)
 
 
-def recommend_n(f: SingularIntegrand, n_min: int, n_max: int,
-                cfg: PredictorConfig = DEFAULT_CONFIG) -> list[int]:
+def recommend_n(f: SingularIntegrand, n_min: int, n_max: int) -> list[int]:
     """Quadrature sizes in [n_min, n_max] sorted by ascending magnitude of
     the predicted leading coefficient (ties: smaller n first).
 
@@ -369,7 +351,7 @@ def recommend_n(f: SingularIntegrand, n_min: int, n_max: int,
     if n_min > n_max or n_min < 10:
         raise ValueError("need 10 <= n_min <= n_max")
     sizes = list(range(n_min, n_max + 1))
-    return sorted(sizes, key=lambda n: (abs(_predicted_coefficient(f, n, cfg)), n))
+    return sorted(sizes, key=lambda n: (abs(_predicted_coefficient(f, n)), n))
 
 
 def predicted_order(f: SingularIntegrand) -> ErrorPrediction:

@@ -4,14 +4,12 @@ corrected errors, envelope fits, CSV output and text reports."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .error_predictor import (PredictorConfig, coefficient_bounds,
-                              leading_term, recommend_n)
-from .gauss_rule import apply_rule, compute_rules
+from .error_predictor import coefficient_bounds, leading_term, recommend_n
+from .gauss_rule import apply_rule, compute_rule, compute_rules
 from .reference_oracle import exact_integral
 from .singularity_model import (Power, PowerLog, SingularIntegrand,
                                 gauss_envelope, phase)
@@ -23,12 +21,15 @@ __all__ = [
     "run_sweep",
     "write_csv",
     "fit_envelope_slope",
+    "envelope_violations",
     "report",
 ]
 
 CSV_HEADER = ("n,error,abs_error,scaled_coeff,cos_phase,predicted,"
               "corrected_error,bound_lo,bound_hi")
 _FLOOR_REL = 1e-15   # abs_error below this multiple of |exact| is noise
+_CHECK_N_MIN = 100   # the envelope verdict covers n >= 100
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,6 @@ class SweepConfig:
     integrand: SingularIntegrand
     n_min: int = 10
     n_max: int = 600
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    out: Optional[str] = None
 
     def __post_init__(self):
         if not 10 <= self.n_min < self.n_max:
@@ -94,7 +93,7 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     for n, rule in zip(sizes, compute_rules(sizes)):
         raw = apply_rule(rule, f)
         err = exact - raw
-        predicted = leading_term(f, n, cfg.predictor)
+        predicted = leading_term(f, n)
         rec = ExperimentRecord(
             n=n,
             error=err,
@@ -108,8 +107,6 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
             floored=abs(err) < _FLOOR_REL * abs(exact),
         )
         records.append(rec)
-    if cfg.out:
-        write_csv(records, cfg.out)
     return records
 
 
@@ -147,14 +144,28 @@ def fit_envelope_slope(records: list[ExperimentRecord], window: int = 20,
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _bound_violations(records: list[ExperimentRecord]) -> int:
-    count = 0
+def envelope_violations(records: list[ExperimentRecord],
+                        f: SingularIntegrand) -> list[ExperimentRecord]:
+    """Records at n >= 100 whose scaled coefficient lies outside the
+    closed-form bounds by more than the Gauss sum's rounding allowance
+    4 n eps sum |w_j f(x_j)|, scaled by n^(sigma+1) like the coefficient.
+
+    Records without bounds never violate.  Floored records need no rule
+    of their own: the bounds straddle 0 and a floored coefficient lies
+    far inside the allowance.
+    """
+    p = f.singular_exponent + 1.0
+    bad = []
     for r in records:
-        if math.isnan(r.bound_lo):
+        if (r.n < _CHECK_N_MIN or math.isnan(r.bound_lo)
+                or r.bound_lo <= r.scaled_coeff <= r.bound_hi):
             continue
-        if r.scaled_coeff > r.bound_hi or r.scaled_coeff < r.bound_lo:
-            count += 1
-    return count
+        rule = compute_rule(r.n)
+        scale = float(np.sum(np.abs(rule.weights * f(rule.nodes))))
+        slack = 4.0 * r.n * _EPS * scale * r.n ** p
+        if not r.bound_lo - slack <= r.scaled_coeff <= r.bound_hi + slack:
+            bad.append(r)
+    return bad
 
 
 def report(records: list[ExperimentRecord], cfg: SweepConfig) -> str:
@@ -181,13 +192,13 @@ def report(records: list[ExperimentRecord], cfg: SweepConfig) -> str:
     if not math.isnan(records[0].bound_lo):
         lines.append(f"coefficient bounds: [{records[0].bound_lo:.6g}, "
                      f"{records[0].bound_hi:.6g}]")
-        lines.append(f"{_bound_violations(records)} envelope violations")
+        lines.append(f"{len(envelope_violations(records, f))} envelope "
+                     f"violations at n >= {_CHECK_N_MIN}")
     floored = sum(r.floored for r in records)
     if floored:
         lines.append(f"{floored} records at the machine-accuracy floor "
                      "(excluded from slope fits)")
     if isinstance(f.family, (Power, PowerLog)) and f.envelope is None:
-        best = recommend_n(f, max(cfg.n_min, 10),
-                           min(cfg.n_max, cfg.n_min + 99), cfg.predictor)[:5]
+        best = recommend_n(f, cfg.n_min, min(cfg.n_max, cfg.n_min + 99))[:5]
         lines.append(f"recommended n (first 100 sizes of the range): {best}")
     return "\n".join(lines) + "\n"

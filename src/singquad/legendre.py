@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "XiCoordinate",
-    "AsymptoticDomain",
     "xi_of_z",
     "legendre_p",
     "legendre_p_deriv",
@@ -37,6 +36,9 @@ __all__ = [
 
 _MAX_DEGREE = 5000
 _EXP_OVERFLOW = 700.0
+# uniform-asymptotics domain: |sinh xi| >= 1/2 and |cosh((n+1/2) xi)| >= 1/n
+_SINH_MIN = 0.5
+_COSH_MIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,6 @@ class XiCoordinate:
 
     xi: complex
     z: complex
-
-
-@dataclass(frozen=True)
-class AsymptoticDomain:
-    """Validity parameters: |sinh xi| >= eps, |cosh((n+1/2)xi)| >= L/n,
-    Bernstein ellipse parameter M."""
-
-    L: float = 1.0
-    eps: float = 0.5
-    M: float = 3.0
-
-    def __post_init__(self):
-        if self.L <= 0 or self.eps <= 0 or self.M <= 0:
-            raise ValueError("AsymptoticDomain parameters must be positive")
-
-
-DEFAULT_DOMAIN = AsymptoticDomain()
 
 
 def xi_of_z(z: complex) -> XiCoordinate:
@@ -212,16 +197,26 @@ def _q_neumann(n: int, z: complex) -> complex:
     return ps[n] * _q0(z) - w
 
 
-def in_validity_domain(n: int, coord: XiCoordinate,
-                       domain: AsymptoticDomain = DEFAULT_DOMAIN) -> bool:
+def in_validity_domain(n: int, coord: XiCoordinate) -> bool:
     """Whether xi lies in the uniform-asymptotics domain for this n."""
     xi = coord.xi
-    if abs(cmath.sinh(xi)) < domain.eps:
+    if abs(cmath.sinh(xi)) < _SINH_MIN:
         return False
     w = (n + 0.5) * xi
     if w.real > _EXP_OVERFLOW:
         return True  # cosh is astronomically large
-    return abs(cmath.cosh(w)) >= domain.L / n
+    return abs(cmath.cosh(w)) >= _COSH_MIN / n
+
+
+def _upper_xi(coord: XiCoordinate):
+    """(xi reflected into Im xi >= 0, whether it was reflected); the
+    asymptotic forms are evaluated there and reflected back."""
+    xi = coord.xi
+    if abs(cmath.sinh(xi)) < _SINH_MIN:
+        raise ValueError(f"|sinh xi| < {_SINH_MIN}: outside validity domain")
+    if xi.imag < 0.0:
+        return xi.conjugate(), True
+    return xi, False
 
 
 def _p_asym_parts(n: int, xi: complex):
@@ -241,58 +236,43 @@ def _p_asym_parts(n: int, xi: complex):
     return w, pref, bracket
 
 
-def p_asymptotic(n: int, coord: XiCoordinate,
-                 domain: AsymptoticDomain = DEFAULT_DOMAIN) -> complex:
+def p_asymptotic(n: int, coord: XiCoordinate) -> complex:
     """Uniform two-exponential approximation of P_n(cosh xi), including
     the 1/(4n) and coth(xi)/(8n) corrections."""
-    xi = coord.xi
-    if abs(cmath.sinh(xi)) < domain.eps:
-        raise ValueError(f"|sinh xi| < {domain.eps}: outside validity domain")
-    if xi.imag < 0.0:
-        conj = XiCoordinate(xi=xi.conjugate(), z=coord.z.conjugate())
-        return p_asymptotic(n, conj, domain).conjugate()
+    xi, reflected = _upper_xi(coord)
     w, pref, bracket = _p_asym_parts(n, xi)
     if w.real > _EXP_OVERFLOW:
         raise OverflowError(
             f"P_{n} at Re((n+1/2)xi) = {w.real:.1f} overflows doubles; "
             "use p_asymptotic_log")
-    return cmath.exp(w) * pref * bracket
+    val = cmath.exp(w) * pref * bracket
+    return val.conjugate() if reflected else val
 
 
-def p_asymptotic_log(n: int, coord: XiCoordinate,
-                     domain: AsymptoticDomain = DEFAULT_DOMAIN):
+def p_asymptotic_log(n: int, coord: XiCoordinate):
     """(log|P_n|, arg P_n) for the same approximation, overflow-safe."""
-    xi = coord.xi
-    if abs(cmath.sinh(xi)) < domain.eps:
-        raise ValueError(f"|sinh xi| < {domain.eps}: outside validity domain")
-    if xi.imag < 0.0:
-        conj = XiCoordinate(xi=xi.conjugate(), z=coord.z.conjugate())
-        mag, arg = p_asymptotic_log(n, conj, domain)
-        return mag, -arg
+    xi, reflected = _upper_xi(coord)
     w, pref, bracket = _p_asym_parts(n, xi)
     rest = pref * bracket
-    return w.real + math.log(abs(rest)), w.imag + cmath.phase(rest)
+    arg = w.imag + cmath.phase(rest)
+    return w.real + math.log(abs(rest)), -arg if reflected else arg
 
 
-def q_asymptotic(n: int, coord: XiCoordinate,
-                 domain: AsymptoticDomain = DEFAULT_DOMAIN) -> complex:
+def q_asymptotic(n: int, coord: XiCoordinate) -> complex:
     """Single-exponential approximation of Q_n(cosh xi).
 
     The square-root branch is fixed by the steepest-descent form
     sqrt(pi / (2(n+1) sinh(xi) e^{-xi})), whose argument has positive real
     part throughout Re xi >= 0, so the principal root is always correct.
     """
-    xi = coord.xi
-    if abs(cmath.sinh(xi)) < domain.eps:
-        raise ValueError(f"|sinh xi| < {domain.eps}: outside validity domain")
-    if xi.imag < 0.0:
-        conj = XiCoordinate(xi=xi.conjugate(), z=coord.z.conjugate())
-        return q_asymptotic(n, conj, domain).conjugate()
-    lam = cmath.sinh(xi) * cmath.exp(-xi)
+    xi, reflected = _upper_xi(coord)
     w = (n + 1.0) * xi
     if w.real > _EXP_OVERFLOW:
-        return 0j
-    return cmath.exp(-w) * cmath.sqrt(math.pi / (2.0 * (n + 1) * lam))
+        val = 0j
+    else:
+        lam = cmath.sinh(xi) * cmath.exp(-xi)
+        val = cmath.exp(-w) * cmath.sqrt(math.pi / (2.0 * (n + 1) * lam))
+    return val.conjugate() if reflected else val
 
 
 def qp_ratio_asymptotic(n: int, b: float, y: float) -> complex:

@@ -62,7 +62,8 @@ def _gl15(g, lo: float, hi: float) -> float:
     return half * float(np.dot(_GL15_W, g(mid + half * _GL15_X)))
 
 
-def _adaptive(g, lo: float, hi: float, tol: float, level: int = 0):
+def _adaptive(g, lo: float, hi: float, tol: float, level: int = 0,
+              parent_diff: float = math.inf):
     # fixed per-panel agreement threshold; the geometric chain of panels
     # hugging the singular endpoint contributes only a few multiples of tol
     whole = _gl15(g, lo, hi)
@@ -71,11 +72,17 @@ def _adaptive(g, lo: float, hi: float, tol: float, level: int = 0):
     right = _gl15(g, mid, hi)
     diff = abs(whole - (left + right))
     if diff <= tol:
-        return left + right, diff
+        if lo == 0.0:
+            # at the singular endpoint halving shrinks the error by about
+            # r = diff / parent_diff, so left + right is off by r/(1-r) diff
+            r = diff / parent_diff
+            diff *= max(1.0, r / (1.0 - r))
+        rounding = sys.float_info.epsilon * (abs(left) + abs(right))
+        return left + right, diff + rounding
     if level >= _MAX_LEVELS:
         raise RuntimeError("adaptive quadrature did not converge")
-    lval, lerr = _adaptive(g, lo, mid, tol, level + 1)
-    rval, rerr = _adaptive(g, mid, hi, tol, level + 1)
+    lval, lerr = _adaptive(g, lo, mid, tol, level + 1, diff)
+    rval, rerr = _adaptive(g, mid, hi, tol, level + 1, diff)
     return lval + rval, lerr + rerr
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from singquad import (GeneralJump, Power, PowerLog, PredictorConfig,
-                      SingularIntegrand, apply_rule, coefficient_bounds,
+from singquad import (GeneralJump, Power, PowerLog, SingularIntegrand, apply_rule, coefficient_bounds,
                       compute_rule, exact_integral, gauss_envelope,
                       leading_term, log_case_leading, log_envelope_constants,
                       power_case_leading, predicted_order, psi0_solve,
@@ -63,10 +62,12 @@ class TestLeadingTerm:
                            match="inner quadrature did not converge"):
             leading_term(SingularIntegrand(0.2, fam), 100)
 
-    def test_truncation_insensitive(self):
+    def test_truncation_insensitive(self, monkeypatch):
+        import singquad.error_predictor as ep
         f = power(0.4, 0, 1.0, envelope=gauss_envelope(0.4))
-        a = leading_term(f, 100, PredictorConfig(M=10.0))
-        b = leading_term(f, 100, PredictorConfig(M=14.0))
+        a = leading_term(f, 100)
+        monkeypatch.setattr(ep, "_TRUNCATION", 14.0)
+        b = leading_term(f, 100)
         assert a == pytest.approx(b, rel=1e-10)
 
 

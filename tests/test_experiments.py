@@ -1,4 +1,7 @@
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +170,95 @@ class TestCli:
                      "--config", str(cfgfile)])
         assert code == 0
         assert "n = 12..44" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["example", "2", "--k", "3"],
+        ["sweep", "--spec", "power(0.4, 1, 2)"],
+        ["sweep", "--spec", "power(0.95, 3, 1.5)"],
+    ])
+    def test_check_allows_rounding(self, argv, capsys):
+        # each exceeds its bounds only by rounding of the Gauss sum
+        assert main(argv + ["--check"]) == 0
+        assert "0 envelope violations at n >= 100" in capsys.readouterr().out
+
+    def test_check_and_report_agree(self, monkeypatch, capsys):
+        import singquad.experiments as ex
+        from singquad import CoefficientBounds
+        real = ex.coefficient_bounds
+
+        def shrunk(f):
+            cb = real(f)
+            return CoefficientBounds(lower=0.9 * cb.lower,
+                                     upper=0.9 * cb.upper,
+                                     attained=cb.attained)
+        monkeypatch.setattr(ex, "coefficient_bounds", shrunk)
+        assert main(["example", "1", "--check"]) == 1
+        captured = capsys.readouterr()
+        reported = re.search(r"(\d+) envelope violations at n >= 100",
+                             captured.out)
+        checked = re.search(r"check failed: (\d+) envelope violations",
+                            captured.err)
+        assert int(reported.group(1)) == int(checked.group(1)) > 0
+
+    def test_config_unknown_key(self, tmp_path):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("nmx = 30\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spec", "power(0.4, 0, 0.5)",
+                  "--config", str(cfgfile)])
+        assert exc.value.code == 2
+
+    def test_config_line_without_equals(self, tmp_path):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("nmin 12\n")
+        with pytest.raises(ValueError, match="key = value"):
+            main(["sweep", "--spec", "power(0.4, 0, 0.5)",
+                  "--config", str(cfgfile)])
+
+    def test_config_loses_to_abbreviated_flag(self, tmp_path, monkeypatch):
+        import singquad.cli as cli
+        seen = []
+        monkeypatch.setattr(cli, "_sweep_command",
+                            lambda f, args: seen.append(args) or 0)
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("nmin = 12\nnmax = 44\n")
+        main(["sweep", "--spec", "power(0.4, 0, 0.5)", "--nma", "60",
+              "--config", str(cfgfile)])
+        assert (seen[0].nmin, seen[0].nmax) == (12, 60)
+
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        cfgfile = tmp_path / "rec.cfg"
+        cfgfile.write_text("# recommend range\nnmin = 100\nnmax = 130\n"
+                           "top = 5\n")
+        code = main(["recommend", "--spec", "power(0.4, 1, 1)",
+                     "--config", str(cfgfile)])
+        assert code == 0
+        picks = [int(tok) for tok in capsys.readouterr().out.split()]
+        assert len(picks) == 5 and all(100 <= p <= 130 for p in picks)
+
+    @pytest.mark.parametrize("top", ["0", "-3", "two"])
+    def test_recommend_rejects_bad_top(self, top, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["recommend", "--spec", "power(0.4, 1, 1)",
+                  "--nmin", "100", "--nmax", "110", "--top", top])
+        assert exc.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+def _documented_commands():
+    import singquad.cli as cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = cli_block.splitlines() + cli.__doc__.splitlines()
+    return [line.strip() for line in lines
+            if line.strip().startswith("singquad ")]
+
+
+@pytest.mark.parametrize("line", _documented_commands())
+def test_documented_commands_parse(line):
+    from singquad.cli import build_parser
+    build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_documented_commands_found():
+    assert len(_documented_commands()) >= 8

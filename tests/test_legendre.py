@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from singquad import (AsymptoticDomain, in_validity_domain, legendre_p,
-                      legendre_p_deriv, legendre_q, max_qp_ratio_on_ellipse,
-                      p_asymptotic, p_asymptotic_log, q_asymptotic,
-                      qp_ratio_asymptotic, xi_of_z)
+from singquad import (in_validity_domain, legendre_p, legendre_p_deriv,
+                      legendre_q, max_qp_ratio_on_ellipse, p_asymptotic,
+                      p_asymptotic_log, q_asymptotic, qp_ratio_asymptotic,
+                      xi_of_z)
 
 # explicit P_10 coefficients, the independent evaluation oracle
 P10 = np.array([46189, 0, -109395, 0, 90090, 0, -30030, 0, 3465, 0, -63]) / 256.0
@@ -191,9 +191,60 @@ class TestPAsymptotic:
             p_asymptotic(n, xi_of_z(z))
 
     def test_validity_domain_helper(self):
-        dom = AsymptoticDomain()
         assert in_validity_domain(100, xi_of_z(1.5))
-        assert not in_validity_domain(100, xi_of_z(1.0 + 1e-8 + 0j), dom)
+        assert not in_validity_domain(100, xi_of_z(1.0 + 1e-8 + 0j))
+
+
+# frozen repr of each asymptotic form on both half-planes: the Schwarz
+# reflection, the overflow paths and the sign of zero must not move
+_NEAR_ZERO = 0.3000846350003409   # cos(81 pi / 201): P_100 nearly vanishes
+_OVERFLOW = "OverflowError"
+_OUTSIDE = "ValueError"
+_FROZEN_ASYMPTOTICS = [
+    (100, 1.5 + 0.3j, True, "(2.7522014670039752e+42+1.249746157731348e+42j)",
+     "(97.81471141222094, 25.55899088816859)",
+     "(9.870719728395015e-46-9.313910519164344e-46j)"),
+    (100, 1.5 - 0.3j, True, "(2.7522014670039752e+42-1.249746157731348e+42j)",
+     "(97.81471141222094, -25.55899088816859)",
+     "(9.870719728395015e-46+9.313910519164344e-46j)"),
+    (100, 0.9 + 0.1j, True, "(23802293.29897023-73279839.84182993j)",
+     "(18.15994672479793, 49.0087494862358)",
+     "(1.2413889837331157e-10+6.262251229354695e-12j)"),
+    (100, 0.9 - 0.1j, True, "(23802293.29897023+73279839.84182993j)",
+     "(18.15994672479793, -49.0087494862358)",
+     "(1.2413889837331157e-10-6.262251229354695e-12j)"),
+    (100, complex(_NEAR_ZERO, 1e-9), False,
+     "(0.05764409842497855+6.077928154577941e-09j)",
+     "(-2.8534674065447976, 125.6637062490306)",
+     "(-0.09028797645544785-0.09028797648522739j)"),
+    (100, complex(_NEAR_ZERO, -1e-9), False,
+     "(0.05764409842497855-6.077928154577941e-09j)",
+     "(-2.8534674065447976, -125.6637062490306)",
+     "(-0.09028797645544785+0.09028797648522739j)"),
+    (4000, 1.5 + 0.3j, True, _OVERFLOW,
+     "(4020.542343326018, 1023.8102461291587)", "0j"),
+    (4000, 1.5 - 0.3j, True, _OVERFLOW,
+     "(4020.542343326018, -1023.8102461291587)", "-0j"),
+    (4000, 0.9 + 0.1j, True, _OVERFLOW,
+     "(833.3678976329087, 1974.2867874269443)", "0j"),
+    (4000, 0.9 - 0.1j, True, _OVERFLOW,
+     "(833.3678976329087, -1974.2867874269443)", "-0j"),
+    (100, 1.0 + 1e-8j, False, _OUTSIDE, _OUTSIDE, _OUTSIDE),
+    (100, 1.0 - 1e-8j, False, _OUTSIDE, _OUTSIDE, _OUTSIDE),
+]
+
+
+@pytest.mark.parametrize("n,z,valid,p,p_log,q", _FROZEN_ASYMPTOTICS)
+def test_asymptotics_frozen(n, z, valid, p, p_log, q):
+    coord = xi_of_z(z)
+    assert in_validity_domain(n, coord) is valid
+    for fn, want in ((p_asymptotic, p), (p_asymptotic_log, p_log),
+                     (q_asymptotic, q)):
+        try:
+            got = repr(fn(n, coord))
+        except (OverflowError, ValueError) as exc:
+            got = type(exc).__name__
+        assert got == want, fn.__name__
 
 
 class TestQAsymptotic:
