@@ -13,15 +13,10 @@ from .experiments import (ExperimentRecord, SweepConfig,
                           fit_envelope_slope, report, run_sweep, write_csv)
 from .gauss_rule import (QuadratureRule, apply_rule, compute_rule,
                          compute_rules, remainder)
-from .legendre import (XiCoordinate, in_validity_domain, legendre_p,
-                       legendre_p_deriv, legendre_q, max_qp_ratio_on_ellipse,
-                       p_asymptotic, p_asymptotic_log, q_asymptotic,
-                       qp_ratio_asymptotic, xi_of_z)
 from .reference_oracle import (ExactIntegral, exact_integral,
                                split_adaptive_integral)
-from .singularity_model import (GeneralJump, HolderClass, PhaseInfo, Power,
-                                PowerLog, SingularIntegrand, evaluate_real,
-                                gauss_envelope, holder_class, jump,
+from .singularity_model import (GeneralJump, PhaseInfo, Power, PowerLog,
+                                SingularIntegrand, gauss_envelope, jump,
                                 parse_integrand, phase)
 from .special_functions import zeta_fn
 

@@ -16,6 +16,11 @@ rest:
 _phase_kernel(y, sin_phi, cos_psi) is the only place the kernel is
 written.  It returns e^-x + cos Psi and cosh x + cos Psi in expm1/sinh^2
 form, so the cos Psi -> -1 limit stays finite down to the smallest node.
+The complex kernel (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi)
+is -(2/pi) Q_n/P_n at z = b + iy/n, where the uniform Legendre
+asymptotics give Q_n/P_n = -i pi / (e^(x + i Psi) + 1).  The evidence is
+in the tests: tests/paper_asymptotics.py builds Q_n/P_n from
+_phase_kernel, and TestQPRatio checks it against exact Q_n/P_n.
 
 _integrate(g, y_max, sigma, panels) integrates g with composite 32-point
 Gauss panels graded geometrically toward y = 0, where the integrand
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -131,8 +137,8 @@ def leading_term(f: SingularIntegrand, n: int) -> float:
     Integrates on [0, 10 log n], or on the equivalent of [0, inf) for
     closed-form families without an envelope.
     """
-    if n < 10:
-        raise ValueError("leading_term needs n >= 10")
+    if not isinstance(n, numbers.Integral) or n < 10:
+        raise ValueError(f"leading_term needs an integer n >= 10, got {n!r}")
     info = phase(f, n)
     sin_phi = math.sin(info.phi)
     sigma = f.singular_exponent
@@ -148,7 +154,7 @@ def leading_term(f: SingularIntegrand, n: int) -> float:
 
     total, head = _integrate(g, y_max, sigma)
     full, check = total / n, head / n
-    if abs(full - check) > 1e-3 * max(abs(full), 1e-13):
+    if not abs(full - check) <= 1e-3 * max(abs(full), 1e-13):  # nan fails
         raise RuntimeError(
             f"inner quadrature did not converge (refinement gap "
             f"{abs(full - check):.2e} vs value {full:.2e})")
@@ -311,6 +317,7 @@ def psi0_solve(k: int, alpha: float) -> float:
     on (-1 + 1e-9, 1) is safe; the endpoints have opposite signs because
     the attained envelope extremes do.
     """
+    Power(k, alpha)   # raises ValueError on an invalid pair
     if k % 4 not in (0, 2):
         raise ValueError("psi0_solve applies to k = 0, 2 (mod 4) only")
     lo, hi = -1.0 + 1e-9, 1.0
@@ -348,8 +355,9 @@ def recommend_n(f: SingularIntegrand, n_min: int, n_max: int) -> list[int]:
     For k = 0, 2 (mod 4) this favors cos Psi near the phase root; for
     k = 1, 3 (mod 4) it favors cos((2n+1) phi) near 0.
     """
-    if n_min > n_max or n_min < 10:
-        raise ValueError("need 10 <= n_min <= n_max")
+    if not (isinstance(n_min, numbers.Integral)
+            and isinstance(n_max, numbers.Integral) and 10 <= n_min <= n_max):
+        raise ValueError("need integers 10 <= n_min <= n_max")
     sizes = list(range(n_min, n_max + 1))
     return sorted(sizes, key=lambda n: (abs(_predicted_coefficient(f, n)), n))
 

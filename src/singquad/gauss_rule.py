@@ -4,7 +4,7 @@ compute_rules(ns) builds every size of ns that is not cached yet in one
 batch.  The positive-half nodes of those sizes, seeded with the cosine
 approximation of the roots of P_n, go through Newton iteration together:
 each pass runs one forward Legendre recurrence with per-node degrees
-(legendre._legendre_pair), sizes sorted descending, in blocks of about
+(_legendre_pair), sizes sorted descending, in blocks of about
 8k nodes.  Each size stops on its own max |dx| < 1e-15 and then takes
 two polishing steps; odd sizes get the exact middle node 0.  One last
 pass gives P_n and P_{n-1} at the final nodes, which feed both the
@@ -25,8 +25,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .legendre import _legendre_pair
 
 __all__ = ["QuadratureRule", "compute_rule", "compute_rules", "apply_rule",
            "remainder"]
@@ -98,6 +96,43 @@ def compute_rules(ns) -> list[QuadratureRule]:
     return [_rules[n] for n in ns]
 
 
+def _legendre_pair(n, x: np.ndarray):
+    """(P_n, P_{n-1}) on an array by forward recurrence.
+
+    n is one degree for all of x, or a 1-d integer array of per-point
+    degrees in descending order.  At step m only the prefix of points
+    with degree > m advances; the pairs of the points whose degree is
+    reached are stored, so each point sees exactly the arithmetic of a
+    single-degree call.
+    """
+    # live[m] = number of points with degree > m
+    if np.ndim(n) == 0:
+        live = [len(x)] * int(n)
+    else:
+        live = np.searchsorted(-n, -np.arange(n[0] if len(n) else 0)).tolist()
+    p_out, pm_out = np.ones_like(x), np.zeros_like(x)
+    if not live:
+        return p_out, pm_out
+    k = live[0]
+    xs = x[:k]
+    pm, p = np.ones_like(xs), xs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, len(live)):
+            if live[m] < k:
+                cut = live[m]
+                p_out[cut:k], pm_out[cut:k] = p[cut:], pm[cut:]
+                k, xs, p, pm = cut, xs[:cut], p[:cut], pm[:cut]
+            pm, p = p, ((2 * m + 1) * xs * p - m * pm) / (m + 1)
+    p_out[:k], pm_out[:k] = p, pm
+    return p_out, pm_out
+
+
+def _p_dp(deg, x: np.ndarray):
+    """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1)."""
+    p, pm = _legendre_pair(deg, x)
+    return p, deg * (x * p - pm) / (x * x - 1.0)
+
+
 def _newton(sizes: list[int]) -> np.ndarray:
     """Positive-half roots of P_n for each size (descending, each >= 2),
     concatenated, each size's nodes in descending order; the last node of
@@ -114,8 +149,7 @@ def _newton(sizes: list[int]) -> np.ndarray:
             break
         idx = np.flatnonzero(left[owner] != 0)
         xa, da = x[idx], deg[idx]
-        p, pm = _legendre_pair(da, xa)
-        dp = da * (xa * p - pm) / (xa * xa - 1.0)
+        p, dp = _p_dp(da, xa)
         dx = p / dp
         x[idx] = xa - dx
         offsets = np.concatenate([[0], np.cumsum(halves[act])[:-1]])
@@ -143,8 +177,7 @@ def _assemble(sizes: list[int], x: np.ndarray) -> list[QuadratureRule]:
     halves = [(n + 1) // 2 for n in sizes]
     starts = np.cumsum([0] + halves[:-1])
     deg = np.repeat(sizes, halves)
-    p, pm = _legendre_pair(deg, x)
-    dp = deg * (x * p - pm) / (x * x - 1.0)
+    p, dp = _p_dp(deg, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     tol = (np.maximum(1e-11, 100.0 * deg * 2.2e-16)
            + np.abs(dp) * np.spacing(np.abs(x)))

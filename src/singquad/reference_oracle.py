@@ -108,8 +108,3 @@ def exact_integral(f: SingularIntegrand) -> ExactIntegral:
         return split_adaptive_integral(f)
     raise ValueError(f"unsupported integrand family {type(fam).__name__}")
 
-
-def example5_closed_form(b: float) -> float:
-    """Closed form of the gauss-envelope integrand exp(-(x-b)^2)|x-b|,
-    used to cross-check the adaptive path."""
-    return 1.0 - 0.5 * (math.exp(-(1.0 - b) ** 2) + math.exp(-(1.0 + b) ** 2))

@@ -24,11 +24,8 @@ __all__ = [
     "PowerLog",
     "GeneralJump",
     "SingularIntegrand",
-    "HolderClass",
     "PhaseInfo",
     "gauss_envelope",
-    "evaluate_real",
-    "holder_class",
     "jump",
     "phase",
     "parse_integrand",
@@ -89,16 +86,6 @@ class GeneralJump:
 
 
 Family = Union[Power, PowerLog, GeneralJump]
-
-
-@dataclass(frozen=True)
-class HolderClass:
-    """Smoothness class (k, alpha); open=True means any exponent below
-    alpha is valid but alpha itself is not."""
-
-    k: int
-    alpha: float
-    open: bool = False
 
 
 @dataclass(frozen=True)
@@ -168,34 +155,6 @@ def gauss_envelope(b: float):
         return np.exp(-(np.asarray(z) - b) ** 2)
     env.tag = "gauss"
     return env
-
-
-def evaluate_real(f: SingularIntegrand, x: float) -> float:
-    """Pointwise value on [-1, 1]; the singular point returns the limit 0
-    (continuity there is guaranteed by k + alpha > 0)."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("x must lie in [-1, 1]")
-    return float(f(np.asarray(x, dtype=float)))
-
-
-def holder_class(f: SingularIntegrand) -> HolderClass:
-    """Classify f as D_b^{k,alpha}."""
-    fam = f.family
-    if isinstance(fam, Power):
-        k, a = fam.k, fam.alpha
-        if 0.0 < a <= 1.0:
-            return HolderClass(k, a)
-        if a < 0.0:
-            return HolderClass(k - 1, a + 1.0)
-        return HolderClass(k + 1, a - 1.0)     # alpha in (1, 2]
-    if isinstance(fam, PowerLog):
-        k, beta = fam.k, fam.beta
-        if beta > 0.0:
-            return HolderClass(k, beta, open=True)
-        if beta == 0.0:
-            return HolderClass(k - 1, 1.0, open=True)
-        return HolderClass(k - 1, beta + 1.0, open=True)
-    return HolderClass(fam.holder_k, fam.holder_alpha)
 
 
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)

@@ -1,18 +1,11 @@
-"""Legendre functions and their uniform asymptotic approximations.
-
-Covers P_n and its derivative for real and complex argument, Q_n off the
-cut by a backward-stable hybrid (continued fraction away from [-1,1],
-Neumann's formula close to it), the two-exponential uniform asymptotic
-form for P_n with its 1/n corrections, the single-exponential form for
-Q_n, the closed-form Q_n/P_n ratio on vertical lines through an interior
-point of (-1,1), and the sampled ratio maximum on the Bernstein ellipse.
+"""The paper's derivation evidence: Legendre P_n, P_n' and Q_n off the cut,
+their uniform asymptotic forms, and Q_n/P_n from the one place the package
+writes it (error_predictor._phase_kernel); also test-only integrand helpers.
 
 Branch convention: xi = log(z + sqrt(z^2-1)) with the principal branch,
 so xi > 0 for real z > 1 and xi -> i*arccos(x) on the upper side of the
 cut.  Lower half-plane values follow by Schwarz reflection.
 """
-
-from __future__ import annotations
 
 import cmath
 import math
@@ -20,19 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "XiCoordinate",
-    "xi_of_z",
-    "legendre_p",
-    "legendre_p_deriv",
-    "legendre_q",
-    "p_asymptotic",
-    "p_asymptotic_log",
-    "q_asymptotic",
-    "qp_ratio_asymptotic",
-    "max_qp_ratio_on_ellipse",
-    "in_validity_domain",
-]
+from singquad import Power, PowerLog, SingularIntegrand, phase
+from singquad.error_predictor import _phase_kernel
+from singquad.gauss_rule import _legendre_pair, _p_dp
 
 _MAX_DEGREE = 5000
 _EXP_OVERFLOW = 700.0
@@ -43,10 +26,9 @@ _COSH_MIN = 1.0
 
 @dataclass(frozen=True)
 class XiCoordinate:
-    """A point z = cosh(xi) together with its xi image, Re(xi) >= 0."""
+    """The image xi of a point z = cosh(xi), Re(xi) >= 0."""
 
     xi: complex
-    z: complex
 
 
 def xi_of_z(z: complex) -> XiCoordinate:
@@ -63,15 +45,16 @@ def xi_of_z(z: complex) -> XiCoordinate:
     xi = cmath.log(z + root)
     if xi.real < 0.0:  # tiny negative from rounding on the cut
         xi = complex(0.0, xi.imag)
-    return XiCoordinate(xi=xi, z=z)
+    return XiCoordinate(xi=xi)
 
 
-def _as_array(z):
+def _as_array(n: int, z):
+    if n < 0 or n > _MAX_DEGREE:
+        raise ValueError(f"degree must be in [0, {_MAX_DEGREE}], got {n}")
     arr = np.asarray(z)
     if not np.iscomplexobj(arr):
         arr = arr.astype(np.float64)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def legendre_p(n: int, z):
@@ -79,71 +62,23 @@ def legendre_p(n: int, z):
 
     Accepts real or complex scalars and numpy arrays; exact at z = 1.
     """
-    if n < 0 or n > _MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {_MAX_DEGREE}], got {n}")
-    arr, scalar = _as_array(z)
+    arr, scalar = _as_array(n, z)
     p = _legendre_pair(n, arr)[0]
     if not np.all(np.isfinite(p)):
         raise OverflowError(f"P_{n} overflowed double range")
     return p[0] if scalar else p
 
 
-def _legendre_pair(n, x: np.ndarray):
-    """(P_n, P_{n-1}) on an array by forward recurrence.
-
-    n is one degree for all of x, or a 1-d integer array of per-point
-    degrees in descending order.  At step m only the prefix of points
-    with degree > m advances; the pairs of the points whose degree is
-    reached are stored, so each point sees exactly the arithmetic of a
-    single-degree call.
-    """
-    # live[m] = number of points with degree > m
-    if np.ndim(n) == 0:
-        live = [len(x)] * int(n)
-    else:
-        live = np.searchsorted(-n, -np.arange(n[0] if len(n) else 0)).tolist()
-    p_out, pm_out = np.ones_like(x), np.zeros_like(x)
-    if not live:
-        return p_out, pm_out
-    k = live[0]
-    xs = x[:k]
-    pm, p = np.ones_like(xs), xs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, len(live)):
-            if live[m] < k:
-                cut = live[m]
-                p_out[cut:k], pm_out[cut:k] = p[cut:], pm[cut:]
-                k, xs, p, pm = cut, xs[:cut], p[:cut], pm[:cut]
-            pm, p = p, ((2 * m + 1) * xs * p - m * pm) / (m + 1)
-    p_out[:k], pm_out[:k] = p, pm
-    return p_out, pm_out
-
-
 def legendre_p_deriv(n: int, z):
-    """P_n'(z) via (z^2-1) P_n' = n (z P_n - P_{n-1}); closed form at z = +/-1."""
-    if n < 0 or n > _MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {_MAX_DEGREE}], got {n}")
-    arr, scalar = _as_array(z)
-    if n == 0:
-        out = np.zeros_like(arr)
-        return out[0] if scalar else out
-    p, pm = _legendre_pair(n, arr)
-    den = arr * arr - 1.0
-    out = np.empty_like(p)
-    near = np.abs(den) < 1e-13
-    np.divide(n * (arr * p - pm), den, out=out, where=~near)
-    if np.any(near):
-        # P_n'(+/-1) = (+/-1)^(n-1) n(n+1)/2
-        sgn = np.where(np.real(arr[near]) > 0, 1.0, (-1.0) ** (n - 1))
-        out[near] = sgn * n * (n + 1) / 2.0
+    """P_n'(z) by gauss_rule._p_dp; closed form at z = +/-1."""
+    arr, scalar = _as_array(n, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _p_dp(n, arr)[1]
+    near = np.abs(arr * arr - 1.0) < 1e-13
+    # P_n'(+/-1) = (+/-1)^(n-1) n(n+1)/2
+    sgn = np.where(np.real(arr[near]) > 0, 1.0, (-1.0) ** (n - 1))
+    out[near] = sgn * n * (n + 1) / 2.0
     return out[0] if scalar else out
-
-
-def _dist_to_cut(z: complex) -> float:
-    x, y = z.real, z.imag
-    if abs(x) <= 1.0:
-        return abs(y)
-    return math.hypot(abs(x) - 1.0, y)
 
 
 def _q0(z: complex) -> complex:
@@ -161,10 +96,8 @@ def legendre_q(n: int, z: complex) -> complex:
     if n < 0 or n > _MAX_DEGREE:
         raise ValueError(f"degree must be in [0, {_MAX_DEGREE}], got {n}")
     z = complex(z)
-    if _dist_to_cut(z) < 1e-12:
+    if math.hypot(max(abs(z.real) - 1.0, 0.0), z.imag) < 1e-12:  # on [-1, 1]
         raise ValueError(f"legendre_q is degenerate on the cut (z = {z})")
-    if n == 0:
-        return _q0(z)
     a = xi_of_z(z).xi.real
     # crossover: continued fraction needs ~ 39/(2a) extra terms; Neumann
     # loses ~ 2na/ln10 digits. 2na >= 9.2 keeps both costs O(n).
@@ -229,10 +162,9 @@ def _p_asym_parts(n: int, xi: complex):
     cminus = 1.0 - 1.0 / (4 * n) - cth / (8 * n)
     w = (n + 0.5) * xi
     rot = cmath.exp(-1j * math.pi / 4)
-    if w.real > _EXP_OVERFLOW:  # recessive term underflows anyway
-        bracket = cplus * rot
-    else:
-        bracket = cplus * rot + cminus * cmath.exp(-2.0 * w) / rot
+    bracket = cplus * rot
+    if w.real <= _EXP_OVERFLOW:  # beyond, the recessive term underflows
+        bracket += cminus * cmath.exp(-2.0 * w) / rot
     return w, pref, bracket
 
 
@@ -267,39 +199,70 @@ def q_asymptotic(n: int, coord: XiCoordinate) -> complex:
     """
     xi, reflected = _upper_xi(coord)
     w = (n + 1.0) * xi
-    if w.real > _EXP_OVERFLOW:
-        val = 0j
-    else:
+    val = 0j   # beyond exp's range Q_n underflows
+    if w.real <= _EXP_OVERFLOW:
         lam = cmath.sinh(xi) * cmath.exp(-xi)
         val = cmath.exp(-w) * cmath.sqrt(math.pi / (2.0 * (n + 1) * lam))
     return val.conjugate() if reflected else val
 
 
 def qp_ratio_asymptotic(n: int, b: float, y: float) -> complex:
-    """Closed-form Q_n/P_n at z = b + i y/n (upper side of the cut).
-
-    Returns -i pi / (exp(2y/sin(phi) + i Psi) + 1) with phi = arccos(b) and
-    Psi = (2n+1) phi - pi/2.  The minus sign is fixed by the upper-side
-    limit Q_n(x+i0) = Q_n(x) - (i pi/2) P_n(x), which forces the ratio's
-    imaginary part to -pi/2 as y -> 0+.
-    """
-    if not -1.0 < b < 1.0:
-        raise ValueError("b must lie in (-1, 1)")
-    phi = math.acos(b)
-    x = 2.0 * y / math.sin(phi)
-    psi = (2 * n + 1) * phi - math.pi / 2
-    if x > 350.0:
-        e = cmath.exp(complex(-x, -psi))
-        return -1j * math.pi * e / (1.0 + e)
-    return -1j * math.pi / (cmath.exp(complex(x, psi)) + 1.0)
+    """Q_n/P_n at z = b + i y/n (upper side of the cut) as the predictor
+    integrates it: -(pi/2) (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi),
+    x = 2y/sin phi, which is -i pi / (exp(x + i Psi) + 1)."""
+    info = phase(SingularIntegrand(b, Power(0, 0.5)), n)
+    with np.errstate(over="ignore"):   # cosh x overflows to inf for large y
+        even, den = _phase_kernel(y, math.sin(info.phi), info.cos_psi)
+    return complex(-0.5 * math.pi * (info.sin_psi + 1j * even) / den)
 
 
 def max_qp_ratio_on_ellipse(n: int, M: float, samples: int = 24) -> float:
     """Sampled max of |Q_n/P_n| over the upper half of the ellipse."""
     a = math.log(1.0 + M * math.log(n) / n)
-    best = 0.0
-    for theta in np.linspace(0.05, math.pi - 0.05, samples):
-        z = cmath.cosh(complex(a, theta))
-        ratio = abs(legendre_q(n, z) / legendre_p(n, z))
-        best = max(best, ratio)
-    return best
+    zs = [cmath.cosh(complex(a, t))
+          for t in np.linspace(0.05, math.pi - 0.05, samples)]
+    return max(abs(legendre_q(n, z) / legendre_p(n, z)) for z in zs)
+
+
+@dataclass(frozen=True)
+class HolderClass:
+    """Smoothness class (k, alpha); open=True means any exponent below
+    alpha is valid but alpha itself is not."""
+
+    k: int
+    alpha: float
+    open: bool = False
+
+
+def holder_class(f: SingularIntegrand) -> HolderClass:
+    """Classify f as D_b^{k,alpha}."""
+    fam = f.family
+    if isinstance(fam, Power):
+        k, a = fam.k, fam.alpha
+        if 0.0 < a <= 1.0:
+            return HolderClass(k, a)
+        if a < 0.0:
+            return HolderClass(k - 1, a + 1.0)
+        return HolderClass(k + 1, a - 1.0)     # alpha in (1, 2]
+    if isinstance(fam, PowerLog):
+        k, beta = fam.k, fam.beta
+        if beta > 0.0:
+            return HolderClass(k, beta, open=True)
+        if beta == 0.0:
+            return HolderClass(k - 1, 1.0, open=True)
+        return HolderClass(k - 1, beta + 1.0, open=True)
+    return HolderClass(fam.holder_k, fam.holder_alpha)
+
+
+def evaluate_real(f: SingularIntegrand, x: float) -> float:
+    """Pointwise value on [-1, 1]; the singular point returns the limit 0
+    (continuity there is guaranteed by k + alpha > 0)."""
+    if not -1.0 <= x <= 1.0:
+        raise ValueError("x must lie in [-1, 1]")
+    return float(f(np.asarray(x, dtype=float)))
+
+
+def example5_closed_form(b: float) -> float:
+    """Closed form of the gauss-envelope integrand exp(-(x-b)^2)|x-b|,
+    used to cross-check the adaptive path."""
+    return 1.0 - 0.5 * (math.exp(-(1.0 - b) ** 2) + math.exp(-(1.0 + b) ** 2))

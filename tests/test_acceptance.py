@@ -9,14 +9,13 @@ import math
 
 import pytest
 
+from paper_asymptotics import legendre_p, legendre_q, p_asymptotic, xi_of_z
 from singquad import (Power, PowerLog, SingularIntegrand, coefficient_bounds,
                       compute_rule, exact_integral, fit_envelope_slope,
-                      leading_term, legendre_p, legendre_q,
-                      log_envelope_constants,
+                      leading_term, log_envelope_constants,
                       power_case_leading, psi0_solve, remainder,
-                      split_adaptive_integral, xi_of_z)
+                      split_adaptive_integral)
 from singquad.error_predictor import psi0_residual
-from singquad.legendre import p_asymptotic
 from singquad.singularity_model import phase
 
 EPS = 2.2e-16

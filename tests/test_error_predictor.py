@@ -52,6 +52,19 @@ class TestLeadingTerm:
         with pytest.raises(ValueError):
             leading_term(power(0.4, 0, 0.5), 9)
 
+    @pytest.mark.parametrize("n", [10.5, 100.0, "100"])
+    def test_non_integer_n(self, n):
+        with pytest.raises(ValueError):
+            leading_term(power(0.4, 0, 0.5), n)
+        with pytest.raises(ValueError):
+            recommend_n(power(0.4, 0, 0.5), n, 200)
+
+    def test_numpy_integers_accepted(self):
+        f = power(0.4, 0, 0.5, envelope=gauss_envelope(0.4))
+        assert leading_term(f, np.int64(57)) == leading_term(f, 57)
+        assert recommend_n(f, np.int32(10), np.int64(30)) \
+            == recommend_n(f, 10, 30)
+
     def test_unconverged_inner_quadrature_raises(self):
         # a y^-0.99 jump leaves most of the integral in the panels next
         # to y = 0, which the convergence check must catch
@@ -202,6 +215,12 @@ class TestPsi0:
     def test_regime_guard(self):
         with pytest.raises(ValueError):
             psi0_solve(1, 0.5)
+
+    @pytest.mark.parametrize("k,alpha", [(0, 0.0), (0, 3.0), (4, -1.5),
+                                         (0, -0.5)])
+    def test_invalid_pair(self, k, alpha):
+        with pytest.raises(ValueError):
+            psi0_solve(k, alpha)
 
 
 class TestRecommend:

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import math
 import re
 import shlex
@@ -132,6 +135,12 @@ class TestCli:
         assert len(picks) == 5
         assert all(100 <= p <= 130 for p in picks)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_predict_non_finite_raises(self):
+        # b = 0, odd n and k + alpha < 1/4: the kernel underflows to nan
+        with pytest.raises(RuntimeError, match="did not converge"):
+            main(["predict", "--spec", "power(0, 0, 0.1)", "--n", "101"])
+
     def test_example4_variant2_at_b_zero(self, tmp_path):
         out = tmp_path / "ex4.csv"
         code = main(["example", "4", "--variant", "2", "--b", "0",
@@ -262,3 +271,22 @@ def test_documented_commands_parse(line):
 
 def test_documented_commands_found():
     assert len(_documented_commands()) >= 8
+
+
+def test_traced_layers_resolve():
+    # bench/tracing.py patches these functions by name and binds the named
+    # arguments of the counted ones; `bench/run.py --trace 1` needs both
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    consts = {t.id: ast.literal_eval(node.value)
+              for node in ast.parse(tracing.read_text()).body
+              if isinstance(node, ast.Assign) for t in node.targets
+              if getattr(t, "id", None) in ("LAYERS", "SPLIT", "_COUNTED")}
+    bound = {"gauss_rule.compute_rule": {"n"},
+             "error_predictor.recommend_n": {"n_min", "n_max"},
+             "experiments.write_csv": {"path"}}
+    assert consts["_COUNTED"] == set(bound)
+    for module, func in consts["LAYERS"] + (consts["SPLIT"],):
+        params = inspect.signature(
+            getattr(importlib.import_module(module), func)).parameters
+        layer = f"{module.removeprefix('singquad.')}.{func}"
+        assert bound.get(layer, set()) <= set(params), layer

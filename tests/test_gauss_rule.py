@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from singquad import (apply_rule, compute_rule, compute_rules, legendre_p,
-                      remainder)
+from paper_asymptotics import legendre_p, legendre_p_deriv
+from singquad import apply_rule, compute_rule, compute_rules, remainder
 from singquad import gauss_rule
 
 # n=3 interior nodes are 0, +-sqrt(3/5) with weights 8/9, 5/9:
@@ -113,7 +113,6 @@ def test_rule_invariants(n):
 
 @pytest.mark.parametrize("n", [12, 150, 600])
 def test_weight_formula_consistency(n):
-    from singquad import legendre_p_deriv
     r = compute_rule(n)
     lhs = r.weights * (1 - r.nodes ** 2) * legendre_p_deriv(n, r.nodes) ** 2
     assert lhs == pytest.approx(np.full(n, 2.0), rel=1e-11)

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from singquad import (in_validity_domain, legendre_p, legendre_p_deriv,
-                      legendre_q, max_qp_ratio_on_ellipse, p_asymptotic,
-                      p_asymptotic_log, q_asymptotic, qp_ratio_asymptotic,
-                      xi_of_z)
+from paper_asymptotics import (in_validity_domain, legendre_p,
+                               legendre_p_deriv, legendre_q, p_asymptotic,
+                               max_qp_ratio_on_ellipse, p_asymptotic_log,
+                               q_asymptotic, qp_ratio_asymptotic, xi_of_z)
 
 # explicit P_10 coefficients, the independent evaluation oracle
 P10 = np.array([46189, 0, -109395, 0, 90090, 0, -30030, 0, 3465, 0, -63]) / 256.0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from paper_asymptotics import example5_closed_form
 from singquad import (Power, PowerLog, SingularIntegrand, exact_integral,
                       gauss_envelope, split_adaptive_integral)
-from singquad.reference_oracle import example5_closed_form
 
 # frozen: (0.6^1.5 + 1.4^1.5)/1.5, re-verified below by a composite rule
 POWER_05_AT_04 = 1.4141735605418548

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from paper_asymptotics import (legendre_p, legendre_q, p_asymptotic,
+                               q_asymptotic, xi_of_z)
 from singquad import (GeneralJump, Power, PowerLog, SingularIntegrand,
                       apply_rule, coefficient_bounds, compute_rule,
-                      exact_integral, leading_term, legendre_p,
-                      log_case_leading, p_asymptotic, power_case_leading,
-                      q_asymptotic, legendre_q, xi_of_z)
+                      exact_integral, leading_term, log_case_leading,
+                      power_case_leading)
 
 
 def test_negative_b_envelope_membership():

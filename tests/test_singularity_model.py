@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from singquad import (GeneralJump, HolderClass, Power, PowerLog,
-                      SingularIntegrand, evaluate_real, gauss_envelope,
-                      holder_class, jump, parse_integrand, phase)
+from paper_asymptotics import HolderClass, evaluate_real, holder_class
+from singquad import (GeneralJump, Power, PowerLog, SingularIntegrand,
+                      gauss_envelope, jump, parse_integrand, phase)
 
 
 def power(b, k, alpha, envelope=None):
