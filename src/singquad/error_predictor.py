@@ -6,11 +6,12 @@ times the phase kernel
     (e^-x + cos Psi) / (cosh x + cos Psi)  or  sin Psi / (cosh x + cos Psi),
 
 with x = 2y / sin phi; the strict envelopes for odd k use its bound
-1 / sinh x.  The factor is the jump of f across the cut for the general
-leading term, y^(k+alpha) (times the exact log bracket for power-log) for
-the parity-reduced forms and the power-log envelopes, and x^(k+alpha) at
-sin phi = 2 for the phase root cos Psi0.  The closed-form envelope bounds
-of the power family need no integral.  Two private helpers carry the
+1 / sinh x.  The factor is y^(k+alpha) (times the exact log bracket for
+power-log) for the parity-reduced forms, which leading_term takes for
+Power and PowerLog without an envelope, and for the power-log envelopes;
+the jump of f across the cut for every other leading term; and
+x^(k+alpha) at sin phi = 2 for the phase root cos Psi0.  The power
+family's envelope bounds are closed forms.  Two private helpers carry the
 rest:
 
 _phase_kernel(y, sin_phi, cos_psi) is the only place the kernel is
@@ -25,10 +26,12 @@ _phase_kernel, and TestQPRatio checks it against exact Q_n/P_n.
 _integrate(g, y_max, sigma, panels) integrates g with composite 32-point
 Gauss panels graded geometrically toward y = 0, where the integrand
 behaves like y^sigma (and like y^(sigma-1) at cos Psi = -1): the
-substitution y = y_max u^p, p = max(1, 2/sigma), flattens that endpoint
-so each panel sees an analytic integrand and the dropped stub is
-negligible.  It also returns the sum over the outer half of the panels;
-leading_term rejects a value whose inner half, nearest y = 0, changes it
+substitution y = y_max u^p, p = min(8, max(1, 2/sigma)), flattens that
+endpoint so each panel sees an analytic integrand and the dropped stub
+is negligible (away from cos Psi = -1, sigma < 1/4 stays within 1e-13
+of the closed form; a cap of 16 lost up to 6e-7).  It also returns the
+sum over the outer half of the panels; both leading-term routes reject a
+value that is not finite or whose inner half, nearest y = 0, changes it
 by more than 1e-3.  The unit panels are cached per panel count.
 """
 
@@ -42,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .singularity_model import (GeneralJump, Power, PowerLog,
-                                SingularIntegrand, jump, phase)
+from .singularity_model import (Power, PowerLog, SingularIntegrand, jump,
+                                phase)
 from .special_functions import zeta_fn
 
 __all__ = [
@@ -121,8 +124,7 @@ def _unit_panels(panels: int):
 def _integrate(g, y_max: float, sigma: float, panels: int = 60):
     """(int_0^y_max g, the same over the outer panels/2 panels) on the
     graded rule; sigma sets the grading exponent p."""
-    # p capped so u^p cannot underflow to an exact zero node
-    p = min(16.0, max(1.0, 2.0 / max(sigma, 1e-3)))
+    p = min(8.0, max(1.0, 2.0 / sigma))
     u, wu = _unit_panels(panels)
     y = y_max * u ** p
     w = wu * y_max * p * u ** (p - 1.0)
@@ -131,34 +133,45 @@ def _integrate(g, y_max: float, sigma: float, panels: int = 60):
     return float(np.dot(w, vals)), float(np.dot(w[:head], vals[:head]))
 
 
+def _checked(value: float, check: float) -> float:
+    """value, unless it is not finite or the inner panels moved it > 1e-3."""
+    if not (math.isfinite(value)
+            and abs(value - check) <= 1e-3 * max(abs(value), 1e-13)):
+        raise RuntimeError(
+            f"inner quadrature did not converge (refinement gap "
+            f"{abs(value - check):.2e} vs value {value:.2e})")
+    return value
+
+
 def leading_term(f: SingularIntegrand, n: int) -> float:
     """Leading error term: (1/n) int Re([f](b+iy/n) K(y)) dy.
 
-    Integrates on [0, 10 log n], or on the equivalent of [0, inf) for
-    closed-form families without an envelope.
+    Power and PowerLog without an envelope take their parity-reduced
+    route; envelopes and general jumps integrate the jump on
+    [0, 10 log n].
     """
     if not isinstance(n, numbers.Integral) or n < 10:
         raise ValueError(f"leading_term needs an integer n >= 10, got {n!r}")
+    if f.envelope is None and isinstance(f.family, Power):
+        return power_case_leading(f, n)
+    if f.envelope is None and isinstance(f.family, PowerLog):
+        return log_case_leading(f, n)
+    return _jump_leading(f, n)
+
+
+def _jump_leading(f: SingularIntegrand, n: int) -> float:
+    """The jump integral on [0, 10 log n], open to every integrand."""
     info = phase(f, n)
     sin_phi = math.sin(info.phi)
-    sigma = f.singular_exponent
-    if f.envelope is None and not isinstance(f.family, GeneralJump):
-        # e^{-2y/sin phi} tail below 1e-26 of scale
-        y_max = sin_phi * (30.0 + 3.0 * max(sigma, 0.0))
-    else:
-        y_max = _TRUNCATION * math.log(n)
 
     def g(y):
-        even, den = _phase_kernel(y, sin_phi, info.cos_psi)
+        with np.errstate(over="ignore"):  # x > 1420: den = inf, kernel 0
+            even, den = _phase_kernel(y, sin_phi, info.cos_psi)
         return np.real(jump(f, y, n) * ((1j * even + info.sin_psi) / den))
 
-    total, head = _integrate(g, y_max, sigma)
-    full, check = total / n, head / n
-    if not abs(full - check) <= 1e-3 * max(abs(full), 1e-13):  # nan fails
-        raise RuntimeError(
-            f"inner quadrature did not converge (refinement gap "
-            f"{abs(full - check):.2e} vs value {full:.2e})")
-    return full
+    total, head = _integrate(g, _TRUNCATION * math.log(n),
+                             f.singular_exponent)
+    return _checked(total / n, head / n)
 
 
 def _parity_sign(k: int) -> float:
@@ -167,8 +180,7 @@ def _parity_sign(k: int) -> float:
 
 
 def _reduced_leading(f: SingularIntegrand, n: int, k: int, sigma: float,
-                     reach: float, grade: float, scale: float,
-                     bracket=None) -> float:
+                     reach: float, scale: float, bracket=None) -> float:
     """sign * scale * int_0^(reach sin phi) y^sigma bracket(y) N_k / D dy
     / n^(sigma+1), with N_k / D the even or odd phase kernel of k."""
     if f.envelope is not None:
@@ -182,8 +194,9 @@ def _reduced_leading(f: SingularIntegrand, n: int, k: int, sigma: float,
         factor = y ** sigma if bracket is None else y ** sigma * bracket(y)
         return factor * kern
 
-    integral, _ = _integrate(g, sin_phi * reach, grade)
-    return _parity_sign(k) * scale * integral / n ** (sigma + 1.0)
+    integral, head = _integrate(g, sin_phi * reach, sigma)
+    c, d = _parity_sign(k) * scale, n ** (sigma + 1.0)
+    return _checked(c * integral / d, c * head / d)
 
 
 def power_case_leading(f: SingularIntegrand, n: int) -> float:
@@ -200,7 +213,7 @@ def power_case_leading(f: SingularIntegrand, n: int) -> float:
     if not isinstance(fam, Power):
         raise TypeError("power_case_leading requires a Power family")
     sigma = fam.k + fam.alpha
-    return _reduced_leading(f, n, fam.k, sigma, 30.0 + 3.0 * sigma, sigma,
+    return _reduced_leading(f, n, fam.k, sigma, 30.0 + 3.0 * sigma,
                             2.0 * math.sin(fam.alpha * math.pi / 2))
 
 
@@ -217,8 +230,8 @@ def log_case_leading(f: SingularIntegrand, n: int) -> float:
                 * (np.log(y) - math.log(n))
                 + math.pi * math.sin((fam.beta + 1.0) * math.pi / 2))
 
-    return _reduced_leading(f, n, fam.k, sigma, 32.0 + 3.0 * max(sigma, 0.0),
-                            max(sigma, 0.25), 1.0, bracket)
+    return _reduced_leading(f, n, fam.k, sigma, 32.0 + 3.0 * sigma, 1.0,
+                            bracket)
 
 
 def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
@@ -266,8 +279,7 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
     sign = _parity_sign(fam.k)
 
     def integral(g):
-        return _integrate(g, sp * (34.0 + 3.0 * max(sigma, 0.0)),
-                          max(sigma, 0.25))[0]
+        return _integrate(g, sp * (34.0 + 3.0 * sigma), sigma)[0]
 
     if fam.k % 2 == 0:
         def at(cos_psi: float):
@@ -337,17 +349,6 @@ def psi0_solve(k: int, alpha: float) -> float:
     raise RuntimeError("phase-root bisection did not converge")
 
 
-def _predicted_coefficient(f: SingularIntegrand, n: int) -> float:
-    fam = f.family
-    if isinstance(fam, Power) and f.envelope is None:
-        lead = power_case_leading(f, n)
-    elif isinstance(fam, PowerLog) and f.envelope is None:
-        lead = log_case_leading(f, n)
-    else:
-        lead = leading_term(f, n)
-    return lead * n ** (f.singular_exponent + 1.0)
-
-
 def recommend_n(f: SingularIntegrand, n_min: int, n_max: int) -> list[int]:
     """Quadrature sizes in [n_min, n_max] sorted by ascending magnitude of
     the predicted leading coefficient (ties: smaller n first).
@@ -359,7 +360,9 @@ def recommend_n(f: SingularIntegrand, n_min: int, n_max: int) -> list[int]:
             and isinstance(n_max, numbers.Integral) and 10 <= n_min <= n_max):
         raise ValueError("need integers 10 <= n_min <= n_max")
     sizes = list(range(n_min, n_max + 1))
-    return sorted(sizes, key=lambda n: (abs(_predicted_coefficient(f, n)), n))
+    expo = f.singular_exponent + 1.0
+    return sorted(sizes,
+                  key=lambda n: (abs(leading_term(f, n) * n ** expo), n))
 
 
 def predicted_order(f: SingularIntegrand) -> ErrorPrediction:

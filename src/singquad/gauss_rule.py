@@ -18,8 +18,9 @@ Nodes and weights are mirrored from the positive half, so x_j = -x_{n+1-j}
 and w_j = w_{n+1-j} hold exactly, and a rule has the same bits whichever
 batch built it.  compute_rule(n) is a cache lookup, or compute_rules([n]).
 
-apply_rule uses Kahan compensated summation: error signals of order
-n^-4.5 sit close to accumulation noise by n ~ 600.
+apply_rule sums the products w_j f(x_j) with math.fsum, which rounds
+their exact sum once: error signals of order n^-4.5 sit close to
+accumulation noise by n ~ 600.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def _assemble(sizes: list[int], x: np.ndarray, p=None,
 
 
 def apply_rule(rule: QuadratureRule, f) -> float:
-    """Sum w_j f(x_j) in node order with Kahan compensation.
+    """Sum w_j f(x_j), correctly rounded (math.fsum) from the products.
 
     f may be vectorized over numpy arrays or a plain scalar function.
     """
@@ -241,14 +242,7 @@ def apply_rule(rule: QuadratureRule, f) -> float:
         vals = np.array([float(f(x)) for x in rule.nodes])
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned a non-finite value at a node")
-    total = 0.0
-    comp = 0.0
-    for w, v in zip(rule.weights.tolist(), vals.tolist()):
-        y = w * v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    return math.fsum((rule.weights * vals).tolist())
 
 
 def remainder(rule: QuadratureRule, f, exact: float) -> float:

@@ -12,10 +12,9 @@ import pytest
 from paper_asymptotics import legendre_p, legendre_q, p_asymptotic, xi_of_z
 from singquad import (Power, PowerLog, SingularIntegrand, coefficient_bounds,
                       compute_rule, exact_integral, fit_envelope_slope,
-                      leading_term, log_envelope_constants,
-                      power_case_leading, psi0_solve, remainder,
-                      split_adaptive_integral)
-from singquad.error_predictor import psi0_residual
+                      log_envelope_constants, power_case_leading,
+                      psi0_solve, remainder, split_adaptive_integral)
+from singquad.error_predictor import _jump_leading, psi0_residual
 from singquad.singularity_model import phase
 
 EPS = 2.2e-16
@@ -252,7 +251,7 @@ def test_criterion_9_predictor_self_consistency(sweep):
             for b in (0.4, math.cos(math.pi / 6)):
                 for n in (50, 150, 400):
                     f = SingularIntegrand(b, Power(k, alpha))
-                    lead = leading_term(f, n)
+                    lead = _jump_leading(f, n)
                     red = power_case_leading(f, n)
                     if abs(lead) > 1e-14:
                         worst = max(worst, abs(red - lead) / abs(lead))

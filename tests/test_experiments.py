@@ -4,13 +4,15 @@ import inspect
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from singquad import (ExperimentRecord, SweepConfig, example_integrand,
-                      fit_envelope_slope, report, run_sweep, write_csv)
+                      fit_envelope_slope, report, run_sweep, write_csv,
+                      zeta_fn)
 from singquad.cli import main
 from singquad.experiments import CSV_HEADER
 
@@ -148,11 +150,32 @@ class TestCli:
         assert len(picks) == 5
         assert all(100 <= p <= 130 for p in picks)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_predict_non_finite_raises(self):
-        # b = 0, odd n and k + alpha < 1/4: the kernel underflows to nan
+        # b = 0, odd n and k + alpha = 0.02: the integrand goes like
+        # y^-0.98 and the inner panels hold too much of it
         with pytest.raises(RuntimeError, match="did not converge"):
-            main(["predict", "--spec", "power(0, 0, 0.1)", "--n", "101"])
+            main(["predict", "--spec", "power(0, 0, 0.02)", "--n", "101"])
+
+    def test_predict_zeta_form_at_b_zero(self, capsys):
+        # b = 0, odd n: Psi = pi, and with s = alpha + 1 the leading term
+        # is 4 sin(alpha pi/2) Gamma(s) zeta(s) / (2n)^s
+        alpha, n = 0.1, 101
+        s = alpha + 1.0
+        want = (4.0 * math.sin(alpha * math.pi / 2) * math.gamma(s)
+                * zeta_fn(s) / (2.0 * n) ** s)
+        assert main(["predict", "--spec", "power(0, 0, 0.1)",
+                     "--n", str(n)]) == 0
+        assert (f"predicted leading error at n = {n}: {want:.6e}"
+                in capsys.readouterr().out)
+
+    def test_predict_far_kernel_is_quiet(self):
+        # near b = 1 the kernel's denominator overflows to inf far out,
+        # which gives its limit 0; that must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["predict", "--spec",
+                         "power(0.999, 0, 1) envelope=gauss",
+                         "--n", "600"]) == 0
 
     def test_example4_variant2_at_b_zero(self, tmp_path):
         out = tmp_path / "ex4.csv"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,18 @@ def test_apply_rule_even_high_degree():
     r = compute_rule(10)
     assert apply_rule(r, lambda x: x ** 18) == pytest.approx(2.0 / 19,
                                                              abs=1e-13)
+
+
+@pytest.mark.parametrize("n,b,alpha", [(10, 0.4, 1.5), (41, -0.3, 0.5),
+                                        (600, 0.4, 0.5)])
+def test_apply_rule_correctly_rounded(n, b, alpha):
+    # the exact rational sum of the rounded products w_j f(x_j), rounded
+    # once; compensated summation in node order missed it by an ulp at
+    # the first two
+    r = compute_rule(n)
+    vals = np.abs(r.nodes - b) ** alpha
+    exact = sum(map(Fraction, (r.weights * vals).tolist()))
+    assert apply_rule(r, lambda x: np.abs(x - b) ** alpha) == float(exact)
 
 
 def test_n3_x6_defect():
