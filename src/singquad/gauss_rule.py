@@ -2,21 +2,23 @@
 
 compute_rules(ns) builds every size of ns that is not cached yet in one
 batch.  The positive-half nodes of those sizes, seeded with the cosine
-approximation of the roots of P_n, go through Newton iteration together:
-each pass runs one forward Legendre recurrence with per-node degrees
+approximation of the roots of P_n, take two Halley steps together; each
+step runs one forward Legendre recurrence with per-node degrees
 (_legendre_pair, three rotating out= buffers), sizes sorted descending,
-in blocks of about 32k nodes.  Each size stops on its own
-max |dx| < 1e-15 and then takes two polishing steps; odd sizes get the
-exact middle node 0.  A node that a step leaves unchanged is a fixed
-point, so it is not evaluated again: its stored dx stays in its size's
-stopping test, and its stored P_n and P_n' are final.  Over the sizes
-10..600, 1000, 1500 and 2000, 90% of the nodes have stopped after pass 3
-and 96% after pass 4.  P_n and P_n' at the final nodes (re-evaluated
-only where a node moved after its last evaluation) feed both the weights
-2 / ((1-x^2) P_n'(x)^2) and the per-node residual check on |P_n(x_j)|.
-Nodes and weights are mirrored from the positive half, so x_j = -x_{n+1-j}
-and w_j = w_{n+1-j} hold exactly, and a rule has the same bits whichever
-batch built it.  compute_rule(n) is a cache lookup, or compute_rules([n]).
+in blocks of about 32k nodes.  Halley converges cubically, so two steps
+take the O(n^-2) cosine guess below rounding for every size; odd sizes
+get the exact middle node 0.  One more recurrence pass at the final nodes
+gives P_n and P_n', which feed the per-node residual check on |P_n(x_j)|
+(the only convergence guard) and the weights
+
+    w_j = 2 (1 + 2 x_j d_j / (1-x_j^2)) / ((1-x_j^2) P_n'(x_j)^2),
+
+where d_j = P_n(x_j) / P_n'(x_j) and 1-x^2 is formed as (1-x)(1+x); the
+factor in d_j takes the weight from the rounded node back to the root.
+Nodes and weights are mirrored from the positive half, so
+x_j = -x_{n+1-j} and w_j = w_{n+1-j} hold exactly, and a rule has the
+same bits whichever batch built it.  compute_rule(n) is a cache lookup,
+or compute_rules([n]).
 
 apply_rule sums the products w_j f(x_j) with math.fsum, which rounds
 their exact sum once: error signals of order n^-4.5 sit close to
@@ -35,8 +37,7 @@ __all__ = ["QuadratureRule", "compute_rule", "compute_rules", "apply_rule",
            "remainder"]
 
 _MAX_POINTS = 2000
-_NEWTON_MAX_STEPS = 50
-_POLISH_STEPS = 2
+_HALLEY_STEPS = 2
 _BLOCK_NODES = 32768  # positive-half nodes per batch, bounds the working set
 
 
@@ -98,7 +99,7 @@ def compute_rules(ns) -> list[QuadratureRule]:
         nodes += (n + 1) // 2
         if nodes >= _BLOCK_NODES or i == len(missing) - 1:
             block = missing[first:i + 1]
-            _rules.update(zip(block, _assemble(block, *_newton(block))))
+            _rules.update(zip(block, _assemble(block, _halley(block))))
             first, nodes = i + 1, 0
     return [_rules[n] for n in ns]
 
@@ -146,73 +147,51 @@ def _legendre_pair(n, x: np.ndarray):
 def _p_dp(deg, x: np.ndarray):
     """P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1)."""
     p, pm = _legendre_pair(deg, x)
-    return p, deg * (x * p - pm) / (x * x - 1.0)
+    return p, deg * (x * p - pm) / ((x - 1.0) * (x + 1.0))
 
 
-def _newton(sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive-half roots x of P_n for each size (descending, each >= 2),
-    concatenated, each size's nodes in descending order, and P_n(x) and
-    P_n'(x); the last node of an odd size is the exact middle node 0.
+def _halley(sizes: list[int]) -> np.ndarray:
+    """Positive-half roots of P_n for each size (descending, each >= 1),
+    concatenated, each size's nodes in descending order; the last node of
+    an odd size is the exact middle node 0.
 
-    A node that a step leaves unchanged (x - dx == x bit for bit) is a
-    fixed point: every later step would evaluate the same P_n, P_n' and
-    dx there.  So each pass evaluates only the nodes of the active sizes
-    that moved in their last step, each size's stopping test reads the
-    stored dx of all its nodes, and the values returned are re-evaluated
-    only where x changed after its last evaluation.
+    Halley's step x - d / (1 - d P_n'' / (2 P_n')), d = P_n / P_n', with
+    P_n'' from Legendre's equation (1 - x^2) P_n'' = 2 x P_n' - n(n+1) P_n,
+    converges cubically, so _HALLEY_STEPS steps take the O(n^-2) cosine
+    guess below rounding; the residual check in _assemble guards it.
     """
-    halves = np.array([(n + 1) // 2 for n in sizes])
-    starts = np.concatenate([[0], np.cumsum(halves)[:-1]])
-    owner = np.repeat(np.arange(len(sizes)), halves)
+    halves = [(n + 1) // 2 for n in sizes]
     deg = np.repeat(sizes, halves)
     x = np.concatenate([np.cos((4 * np.arange(1, h + 1) - 1) * np.pi / (4 * n + 2))
                         for n, h in zip(sizes, halves)])
-    p, dp, dx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    moving = np.ones(len(x), dtype=bool)  # x changed since its last evaluation
-    left = np.full(len(sizes), -1)   # polishing steps left; -1: still in Newton
-    for step in range(1, _NEWTON_MAX_STEPS + _POLISH_STEPS + 1):
-        act = np.flatnonzero(left != 0)
-        if len(act) == 0:
-            break
-        idx = np.flatnonzero(moving & (left[owner] != 0))
-        xa = x[idx]
-        pa, dpa = _p_dp(deg[idx], xa)
-        da = pa / dpa
-        xn = xa - da
-        p[idx], dp[idx], dx[idx], x[idx] = pa, dpa, da, xn
-        moving[idx] = xn != xa
-        big = np.maximum.reduceat(np.abs(dx), starts)[act]
-        newton = left[act] < 0
-        left[act[~newton]] -= 1
-        left[act[newton & (big < 1e-15)]] = _POLISH_STEPS
-        if step == _NEWTON_MAX_STEPS and np.any(left < 0):
-            n = sizes[int(np.argmax(left < 0))]
-            raise RuntimeError(f"Newton did not converge for n = {n}")
-    mid = np.cumsum(halves)[np.array(sizes) % 2 == 1] - 1
-    x[mid] = 0.0
-    moving[mid] = True
-    idx = np.flatnonzero(moving)
-    p[idx], dp[idx] = _p_dp(deg[idx], x[idx])
-    return x, p, dp
+    for _ in range(_HALLEY_STEPS):
+        p, dp = _p_dp(deg, x)
+        d = p / dp
+        ddp = (2.0 * x * dp - deg * (deg + 1.0) * p) / ((1.0 - x) * (1.0 + x))
+        x = x - d / (1.0 - d * ddp / (2.0 * dp))
+    x[np.cumsum(halves)[np.array(sizes) % 2 == 1] - 1] = 0.0
+    return x
 
 
-def _assemble(sizes: list[int], x: np.ndarray, p=None,
-              dp=None) -> list[QuadratureRule]:
-    """Rules from the positive-half nodes x that _newton returns.
+def _assemble(sizes: list[int], x: np.ndarray) -> list[QuadratureRule]:
+    """Rules from the positive-half nodes x that _halley returns.
 
-    P_n and P_n' at the nodes, from _newton or evaluated here when not
-    given, feed the residual check and the weights.  Even a perfectly
-    rounded node x_j leaves |P_n(x_j)| up to |P_n'(x_j)| ulp(x_j)/2, about
-    4e-12 at the extreme nodes near n = 600 and 4e-11 near n = 2000, and
-    evaluating P_n adds noise, hence the per-node tolerance
-    max(1e-11, 100 n eps) + |P_n'(x_j)| ulp(x_j).
+    P_n and P_n' at the nodes feed the residual check and the weights.
+    Even a perfectly rounded node x_j leaves |P_n(x_j)| up to
+    |P_n'(x_j)| ulp(x_j)/2, about 4e-12 at the extreme nodes near n = 600
+    and 4e-11 near n = 2000, and evaluating P_n adds noise, hence the
+    per-node tolerance max(1e-11, 100 n eps) + |P_n'(x_j)| ulp(x_j).
+    At a root, d log(2 / ((1-x^2) P_n'^2)) / dx = -2x / (1-x^2), so at a
+    node d = P_n/P_n' away from it the formula gives the root's weight
+    times 1 - 2 x d / (1-x^2), a factor up to about 1e-10 from 1 near
+    +-1 for n = 2000; the weights divide it out to first order.
     """
     halves = [(n + 1) // 2 for n in sizes]
     starts = np.cumsum([0] + halves[:-1])
     deg = np.repeat(sizes, halves)
-    if p is None:
-        p, dp = _p_dp(deg, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    p, dp = _p_dp(deg, x)
+    one_x2 = (1.0 - x) * (1.0 + x)
+    w = 2.0 / (one_x2 * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one_x2)
     tol = (np.maximum(1e-11, 100.0 * deg * 2.2e-16)
            + np.abs(dp) * np.spacing(np.abs(x)))
     ratio = np.maximum.reduceat(np.abs(p) / tol, starts)
@@ -222,9 +201,10 @@ def _assemble(sizes: list[int], x: np.ndarray, p=None,
             raise ValueError(f"nodes are not roots of P_{n} "
                              f"(residual {r:.2e} x tolerance)")
         # P_n(-x) = (-1)^n P_n(x) and negation are exact, so the weights
-        # of the negative half equal those of the positive half bit for bit
+        # of the negative half equal those of the positive half bit for
+        # bit; the middle node 0 of an odd size is not negated
         xh, wh = x[lo:lo + h], w[lo:lo + h]
-        rules.append(QuadratureRule(n, np.concatenate([-xh, xh[::-1][n % 2:]]),
+        rules.append(QuadratureRule(n, np.concatenate([-xh[:n // 2], xh[::-1]]),
                                     np.concatenate([wh, wh[::-1][n % 2:]])))
     return rules
 

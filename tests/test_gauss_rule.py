@@ -138,18 +138,18 @@ def test_range_checks():
         compute_rule(2001)
 
 
-# SHA-256 of nodes.tobytes() + weights.tobytes(), taken from the per-size
-# Newton builder that compute_rules replaced; the batched builder must
-# reproduce those rules bit for bit
+# SHA-256 of nodes.tobytes() + weights.tobytes(), taken from the builder
+# with two Halley steps and end-node weight correction; every batch must
+# reproduce these rules bit for bit
 RULE_SHA256 = {
     1: "0827fd05442d5279a37c60207e21a0e11585427eebdf4b2a0a35ded23a7cd9ed",
     2: "8bc3471ba32ae7c75bef5be0c0cae1fbe4940faff696dc66310240849cffd3c9",
-    3: "8cc9f05c7d0a36ab02f6b2e07e784cf65e9f6215300a7695a933efe27981acaa",
-    10: "8c8612b3906a6a31972b301c4acb55225637ffa6bce2140ddba448ebc3e19203",
-    11: "8ca215caeae9a1973dc8207687ca457288d832a77789e1a7b6c8f9b9a374eabf",
-    101: "edf4792ca6ab53da5a9fedd937bbe4a810667352c44f92efee5b5362267cf3c3",
-    600: "a2bcce656916c40dc8b4d985d46c0b8a6ed2cda80491057b92ac7c1ceec55a32",
-    2000: "81ea16ddbed8289c60e2f2024bdb5c6bab0232c0e066bb2b1622d66a4abcedb6",
+    3: "b95571d945c7be32e2981ab261924c2b6a2caa64f757902ba4166cc3c8824797",
+    10: "16906c6f6c12cbc0c8c478a0c8ce12f33787cc31082fb057c48cda6f026b3b53",
+    11: "d9ee6e3005f3e21a974aa4fdf97db85ee3eec0ba231aaa2cd287f8fe8faa768d",
+    101: "b39cfaa6a02bfd91f7d18999048f229d18acca82427c20bae6144484a250a65d",
+    600: "d74cd2029ec5c4fdcbe23f8d0fcef02b2604f5c764c292830e17aa7f17c755c5",
+    2000: "9fc286d139869ae534af394371d38b2247ce702f96101e5467c836eaca48d6bd",
 }
 
 
@@ -214,11 +214,51 @@ def test_numpy_integer_sizes_accepted():
     assert compute_rule(np.int16(40)) is r40
 
 
-def test_newton_step_limit(monkeypatch):
+def test_too_few_steps_fail_the_residual_check(monkeypatch):
+    # the residual check is the builder's only convergence guard
     monkeypatch.setattr(gauss_rule, "_rules", {})
-    monkeypatch.setattr(gauss_rule, "_NEWTON_MAX_STEPS", 2)
-    with pytest.raises(RuntimeError, match="n = 300"):
+    monkeypatch.setattr(gauss_rule, "_HALLEY_STEPS", 1)
+    with pytest.raises(ValueError, match="not roots of P_300"):
         compute_rules([300, 20])
+
+
+def test_middle_node_is_positive_zero(monkeypatch):
+    midpoint = compute_rule(1)
+    monkeypatch.setattr(gauss_rule, "_rules", {})
+    rules = compute_rules([1, 3, 11, 101])
+    for r in rules:
+        assert r.nodes[r.n // 2] == 0.0 and not np.signbit(r.nodes[r.n // 2])
+    assert _digest(rules[0]) == _digest(midpoint)
+
+
+def _mp_p_dp(n, x):
+    pm, p = 1, x
+    for m in range(1, n):
+        pm, p = p, ((2 * m + 1) * x * p - m * pm) / (m + 1)
+    return p, n * (x * p - pm) / (x * x - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 11, 57, 600, 1000, 2000])
+def test_rule_accuracy_against_mpmath(n):
+    # the 8 outermost nodes of the nonnegative half, where the weights lose
+    # most, and 8 seeded others, against the root x* two 40-digit Newton
+    # steps from the node and its weight w* = 2 / ((1 - x*^2) P_n'(x*)^2)
+    mp = pytest.importorskip("mpmath")
+    r = compute_rule(n)
+    half = np.arange(n - 1, n // 2 - 1, -1)
+    rng = np.random.default_rng(n)
+    picks = np.concatenate([half[:8], rng.permutation(half[8:])[:8]])
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for j in picks.tolist():
+            node, weight = mp.mpf(float(r.nodes[j])), mp.mpf(float(r.weights[j]))
+            x = node
+            for _ in range(2):
+                p, dp = _mp_p_dp(n, x)
+                x -= p / dp
+            _, dp = _mp_p_dp(n, x)
+            assert abs(node - x) <= 2.2e-16
+            assert abs(weight * (1 - x * x) * dp * dp / 2 - 1) <= 16 * n * eps
 
 
 @pytest.mark.parametrize("n", [1870, 1960, 1987])
@@ -241,14 +281,13 @@ def _cold_batch(monkeypatch, ns):
 
 def test_rules_to_600_pinned(monkeypatch):
     # SHA-256 over nodes.tobytes() then weights.tobytes() of n = 1..600 in
-    # order, all built in one cold batch; taken before Newton stopped
-    # re-evaluating fixed-point nodes
+    # order, all built in one cold batch
     h = hashlib.sha256()
     for r in _cold_batch(monkeypatch, range(1, 601)):
         h.update(r.nodes.tobytes())
         h.update(r.weights.tobytes())
-    assert h.hexdigest() == ("f8ff221b260f66b3051d6b1467d6a4770ab9ecb322cc"
-                             "333200668d562fd18bf2")
+    assert h.hexdigest() == ("82d62eef8ec08a227aad1ed61ea6a95c7f0116493aa5"
+                             "6eeb8b806ad096e149e9")
 
 
 def test_recurrence_work(monkeypatch):
