@@ -1,24 +1,35 @@
 """Gauss-Legendre rules: construction, application, true remainders.
 
 compute_rules(ns) builds every size of ns that is not cached yet in one
-batch.  The positive-half nodes of those sizes, seeded with the cosine
-approximation of the roots of P_n, take two Halley steps together; each
-step runs one forward Legendre recurrence with per-node degrees
-(_legendre_pair, three rotating out= buffers), sizes sorted descending,
-in blocks of about 32k nodes.  Halley converges cubically, so two steps
-take the O(n^-2) cosine guess below rounding for every size; odd sizes
-get the exact middle node 0.  One more recurrence pass at the final nodes
-gives P_n and P_n', which feed the per-node residual check on |P_n(x_j)|
-(the only convergence guard) and the weights
+batch, sizes sorted descending, in blocks of about 32k positive-half
+nodes.  Nodes come by one of two routes:
+
+- Sizes n >= 100, every node but the 8 nearest x = 1: Tricomi's
+  approximation, then one Newton step on the 20-term interior expansion
+  of P_n (Stieltjes, Szego 8.21.14), at O(1) cost per node and with no
+  recurrence.  The expansion is written in u = pi/2 - theta, x = sin(u),
+  because the root's error then stays relative to u and so to x; in
+  theta, the rounding of theta near pi/2 alone moves a node near x = 0
+  by up to 1.1e-16, many of its ulps.
+- Sizes below 100, and the 8 edge nodes of larger sizes, where the
+  interior expansion converges too slowly: two Halley steps from the cosine
+  approximation.  Each step runs one forward Legendre recurrence with
+  per-node degrees (_legendre_pair, three rotating out= buffers).
+  Halley converges cubically, so two steps take the O(n^-2) guess below
+  rounding.
+
+Odd sizes get the exact middle node 0.  One recurrence pass at the final
+nodes of both routes gives P_n and P_n', which feed the per-node residual
+check on |P_n(x_j)| (the only convergence guard) and the weights
 
     w_j = 2 (1 + 2 x_j d_j / (1-x_j^2)) / ((1-x_j^2) P_n'(x_j)^2),
 
 where d_j = P_n(x_j) / P_n'(x_j) and 1-x^2 is formed as (1-x)(1+x); the
 factor in d_j takes the weight from the rounded node back to the root.
 Nodes and weights are mirrored from the positive half, so
-x_j = -x_{n+1-j} and w_j = w_{n+1-j} hold exactly, and a rule has the
-same bits whichever batch built it.  compute_rule(n) is a cache lookup,
-or compute_rules([n]).
+x_j = -x_{n+1-j} and w_j = w_{n+1-j} hold exactly.  Every node is
+computed on its own, so a rule has the same bits whichever batch built
+it.  compute_rule(n) is a cache lookup, or compute_rules([n]).
 
 apply_rule sums the products w_j f(x_j) with math.fsum, which rounds
 their exact sum once: error signals of order n^-4.5 sit close to
@@ -38,6 +49,10 @@ __all__ = ["QuadratureRule", "compute_rule", "compute_rules", "apply_rule",
 
 _MAX_POINTS = 2000
 _HALLEY_STEPS = 2
+_ASYMPTOTIC_MIN_N = 100  # smallest size whose interior nodes skip the recurrence
+_EDGE_NODES = 8          # outermost nodes per size that take Halley steps anyway
+_ASYMPTOTIC_TERMS = 20
+_ASYMPTOTIC_STEPS = 1
 _BLOCK_NODES = 32768  # positive-half nodes per batch, bounds the working set
 
 
@@ -63,7 +78,7 @@ class QuadratureRule:
             raise ValueError("nodes must be symmetric about 0")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        if abs(math.fsum(w) - 2.0) > 1e-13 * self.n:
+        if abs(math.fsum(w.tolist()) - 2.0) > 1e-13 * self.n:
             raise ValueError("weights must sum to 2")
         x.setflags(write=False)
         w.setflags(write=False)
@@ -99,7 +114,7 @@ def compute_rules(ns) -> list[QuadratureRule]:
         nodes += (n + 1) // 2
         if nodes >= _BLOCK_NODES or i == len(missing) - 1:
             block = missing[first:i + 1]
-            _rules.update(zip(block, _assemble(block, _halley(block))))
+            _rules.update(zip(block, _assemble(block, _nodes(block))))
             first, nodes = i + 1, 0
     return [_rules[n] for n in ns]
 
@@ -150,31 +165,102 @@ def _p_dp(deg, x: np.ndarray):
     return p, deg * (x * p - pm) / ((x - 1.0) * (x + 1.0))
 
 
-def _halley(sizes: list[int]) -> np.ndarray:
+def _nodes(sizes: list[int]) -> np.ndarray:
     """Positive-half roots of P_n for each size (descending, each >= 1),
     concatenated, each size's nodes in descending order; the last node of
     an odd size is the exact middle node 0.
+
+    Node k = 1, 2, ... counts from x = 1.  Sizes from _ASYMPTOTIC_MIN_N
+    on take every node past the _EDGE_NODES outermost from _interior;
+    the rest take _HALLEY_STEPS Halley steps from the cosine guess.
+    """
+    halves = [(n + 1) // 2 for n in sizes]
+    deg = np.repeat(sizes, halves)
+    k = np.concatenate([np.arange(1, h + 1) for h in halves])
+    inner = (deg >= _ASYMPTOTIC_MIN_N) & (k > _EDGE_NODES)
+    edge = ~inner
+    x = np.empty(len(deg))
+    x[edge] = _halley(deg[edge], k[edge])
+    x[inner] = _interior(deg[inner], k[inner])
+    x[np.cumsum(halves)[np.array(sizes) % 2 == 1] - 1] = 0.0
+    return x
+
+
+def _halley(deg: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Node k of P_deg for each point, degrees in descending order.
 
     Halley's step x - d / (1 - d P_n'' / (2 P_n')), d = P_n / P_n', with
     P_n'' from Legendre's equation (1 - x^2) P_n'' = 2 x P_n' - n(n+1) P_n,
     converges cubically, so _HALLEY_STEPS steps take the O(n^-2) cosine
     guess below rounding; the residual check in _assemble guards it.
     """
-    halves = [(n + 1) // 2 for n in sizes]
-    deg = np.repeat(sizes, halves)
-    x = np.concatenate([np.cos((4 * np.arange(1, h + 1) - 1) * np.pi / (4 * n + 2))
-                        for n, h in zip(sizes, halves)])
+    x = np.cos((4 * k - 1) * np.pi / (4 * deg + 2))
     for _ in range(_HALLEY_STEPS):
         p, dp = _p_dp(deg, x)
         d = p / dp
         ddp = (2.0 * x * dp - deg * (deg + 1.0) * p) / ((1.0 - x) * (1.0 + x))
         x = x - d / (1.0 - d * ddp / (2.0 * dp))
-    x[np.cumsum(halves)[np.array(sizes) % 2 == 1] - 1] = 0.0
+    return x
+
+
+def _interior(deg: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Node k of P_deg for each point, from the interior expansion.
+
+    In u = pi/2 - theta, x = cos(theta) = sin(u), Stieltjes' expansion
+    (Szego 8.21.14) reads, up to a constant factor,
+
+        P_n(x) ~ sum_m c_m cos(a_m) / (2 cos u)^(m+1/2),
+        a_m = n pi/2 - (n+m+1/2) u,  c_m = ((1/2)_m)^2 / (m! (n+3/2)_m).
+
+    Tricomi's x ~ (1 - (n-1)/(8n^3) - (39 - 28/sin^2 phi)/(384n^4)) cos phi,
+    phi = (4k-1) pi / (4n+2), starts _ASYMPTOTIC_STEPS Newton steps in u
+    on the first _ASYMPTOTIC_TERMS terms.  cos(a_m) and sin(a_m) rotate by
+    -u from term to term, and the factor i^n of cos(a_0) is applied by
+    n mod 4, so the phase carries an error relative to u: nodes near x = 0
+    keep their relative accuracy, which a phase in theta near pi/2 loses.
+    The phase (n+1/2) u is taken exactly, as (n+1/2) u_hi with u_hi the
+    first 40 bits after the point of u plus a first-order term for the
+    rest.  Each step updates x as sin(u) - cos(u) du, which the rounding
+    of u - du would blur; |du| <= 2.7e-10 for n <= 2000, so the du^2
+    term is below 1e-19 relative.
+    """
+    n = deg.astype(float)
+    v = (n + 1.0 - 2.0 * k) * np.pi / (2.0 * n + 1.0)  # pi/2 - phi
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.cos(v) ** 2) / (384.0 * n ** 4)) * np.sin(v)
+    u = np.arcsin(x)
+    # cos(n pi/2), sin(n pi/2): one is 0, the other +-1
+    c_n = np.array([1.0, 0.0, -1.0, 0.0])[deg % 4]
+    s_n = np.array([0.0, 1.0, 0.0, -1.0])[deg % 4]
+    for _ in range(_ASYMPTOTIC_STEPS):
+        su, cu = np.sin(u), np.cos(u)
+        tan_u = su / cu
+        u_hi = np.round(u * 2.0 ** 40) / 2.0 ** 40
+        b_hi, b_lo = (n + 0.5) * u_hi, (n + 0.5) * (u - u_hi)
+        cb, sb = np.cos(b_hi), np.sin(b_hi)
+        cb, sb = cb - b_lo * sb, sb + b_lo * cb
+        # (ca, sa) = c_m (cos a_m, sin a_m) / (2 cos u)^m, term m without
+        # the common factor (2 cos u)^-1/2; over that factor, term m has
+        # the u-derivative (n+m+1/2) sa + (m+1/2) tan(u) ca, so
+        # f' = (n+1/2) g + h + tan(u) e with the sums g, h, e below
+        ca, sa = c_n * cb + s_n * sb, s_n * cb - c_n * sb
+        f, g, h, e = ca.copy(), sa.copy(), np.zeros_like(u), 0.5 * ca
+        for m in range(1, _ASYMPTOTIC_TERMS):
+            # c_m / c_{m-1} = (m-1/2)^2 / (m (n+m+1/2)), and the rotation
+            # by -u over 2 cos u is (ca + tan(u) sa, sa - tan(u) ca) / 2
+            r = (0.5 * (m - 0.5) ** 2 / m) / (n + (m + 0.5))
+            ca, sa = (tan_u * sa + ca) * r, (sa - tan_u * ca) * r
+            f += ca
+            g += sa
+            h += sa * m
+            e += ca * (m + 0.5)
+        du = f / ((n + 0.5) * g + h + tan_u * e)
+        u, x = u - du, su - cu * du
     return x
 
 
 def _assemble(sizes: list[int], x: np.ndarray) -> list[QuadratureRule]:
-    """Rules from the positive-half nodes x that _halley returns.
+    """Rules from the positive-half nodes x that _nodes returns.
 
     P_n and P_n' at the nodes feed the residual check and the weights.
     Even a perfectly rounded node x_j leaves |P_n(x_j)| up to

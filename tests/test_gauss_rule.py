@@ -139,17 +139,18 @@ def test_range_checks():
 
 
 # SHA-256 of nodes.tobytes() + weights.tobytes(), taken from the builder
-# with two Halley steps and end-node weight correction; every batch must
-# reproduce these rules bit for bit
+# with two Halley steps (sizes below 100 and the 8 edge nodes of larger
+# sizes), one asymptotic Newton step (the other nodes) and end-node weight
+# correction; every batch must reproduce these rules bit for bit
 RULE_SHA256 = {
     1: "0827fd05442d5279a37c60207e21a0e11585427eebdf4b2a0a35ded23a7cd9ed",
     2: "8bc3471ba32ae7c75bef5be0c0cae1fbe4940faff696dc66310240849cffd3c9",
     3: "b95571d945c7be32e2981ab261924c2b6a2caa64f757902ba4166cc3c8824797",
     10: "16906c6f6c12cbc0c8c478a0c8ce12f33787cc31082fb057c48cda6f026b3b53",
     11: "d9ee6e3005f3e21a974aa4fdf97db85ee3eec0ba231aaa2cd287f8fe8faa768d",
-    101: "b39cfaa6a02bfd91f7d18999048f229d18acca82427c20bae6144484a250a65d",
-    600: "d74cd2029ec5c4fdcbe23f8d0fcef02b2604f5c764c292830e17aa7f17c755c5",
-    2000: "9fc286d139869ae534af394371d38b2247ce702f96101e5467c836eaca48d6bd",
+    101: "ad4b9cab9409ae4e884ac67fc03abf28ed659f08c395f280117b20ef49b16875",
+    600: "d95433a53d05ce1b86b106b3670bd6478904fbfb7b2f3bf73f147a32f099b7d7",
+    2000: "4531752d5a310e60d7c6e5e6c3c2fafdab30469d1d1afb4d872c28d52e1991fe",
 }
 
 
@@ -238,19 +239,15 @@ def _mp_p_dp(n, x):
     return p, n * (x * p - pm) / (x * x - 1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 11, 57, 600, 1000, 2000])
-def test_rule_accuracy_against_mpmath(n):
-    # the 8 outermost nodes of the nonnegative half, where the weights lose
-    # most, and 8 seeded others, against the root x* two 40-digit Newton
-    # steps from the node and its weight w* = 2 / ((1 - x*^2) P_n'(x*)^2)
+def _assert_matches_mpmath(n, js):
+    # nodes js of the n-point rule against the root x* two 40-digit Newton
+    # steps from the node, and their weights against w* = 2 / ((1 - x*^2)
+    # P_n'(x*)^2)
     mp = pytest.importorskip("mpmath")
     r = compute_rule(n)
-    half = np.arange(n - 1, n // 2 - 1, -1)
-    rng = np.random.default_rng(n)
-    picks = np.concatenate([half[:8], rng.permutation(half[8:])[:8]])
     eps = np.finfo(float).eps
     with mp.workdps(40):
-        for j in picks.tolist():
+        for j in js:
             node, weight = mp.mpf(float(r.nodes[j])), mp.mpf(float(r.weights[j]))
             x = node
             for _ in range(2):
@@ -259,6 +256,45 @@ def test_rule_accuracy_against_mpmath(n):
             _, dp = _mp_p_dp(n, x)
             assert abs(node - x) <= 2.2e-16
             assert abs(weight * (1 - x * x) * dp * dp / 2 - 1) <= 16 * n * eps
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 11, 57, 600, 1000, 2000])
+def test_rule_accuracy_against_mpmath(n):
+    # the 8 outermost nodes of the nonnegative half, where the weights lose
+    # most, and 8 seeded others
+    half = np.arange(n - 1, n // 2 - 1, -1)
+    rng = np.random.default_rng(n)
+    picks = np.concatenate([half[:8], rng.permutation(half[8:])[:8]])
+    _assert_matches_mpmath(n, picks.tolist())
+
+
+@pytest.mark.parametrize("n", [99, 100, 101])
+def test_sizes_at_the_asymptotic_cut_off(n):
+    # every nonnegative node: n = 99 takes Halley steps throughout, from
+    # n = 100 on all but the 8 edge nodes come from the interior expansion
+    _assert_matches_mpmath(n, range(n // 2, n))
+
+
+@pytest.mark.parametrize("n", [100, 257, 1999])
+def test_nodes_either_side_of_the_edge_cut(n):
+    # nodes 8 (the last Halley node) and 9 (the first asymptotic node)
+    # counted from x = 1
+    _assert_matches_mpmath(n, [n - 8, n - 9])
+
+
+def test_asymptotic_nodes_without_newton_fail_the_residual_check(monkeypatch):
+    # Tricomi's approximation alone is not a root to rounding
+    monkeypatch.setattr(gauss_rule, "_rules", {})
+    monkeypatch.setattr(gauss_rule, "_ASYMPTOTIC_STEPS", 0)
+    with pytest.raises(ValueError, match="not roots of P_"):
+        compute_rules([100])
+
+
+def test_batch_across_the_cut_off_matches_single_sizes(monkeypatch):
+    batch = [_digest(r) for r in _cold_batch(monkeypatch, range(95, 106))]
+    singles = [_digest(_cold_batch(monkeypatch, [n])[0])
+               for n in range(95, 106)]
+    assert batch == singles
 
 
 @pytest.mark.parametrize("n", [1870, 1960, 1987])
@@ -286,13 +322,14 @@ def test_rules_to_600_pinned(monkeypatch):
     for r in _cold_batch(monkeypatch, range(1, 601)):
         h.update(r.nodes.tobytes())
         h.update(r.weights.tobytes())
-    assert h.hexdigest() == ("82d62eef8ec08a227aad1ed61ea6a95c7f0116493aa5"
-                             "6eeb8b806ad096e149e9")
+    assert h.hexdigest() == ("04e1660cf6363b79fc8134c2f5ff87caf713261b6e4a"
+                             "8dc0fb8e91b76023c068")
 
 
 def test_recurrence_work(monkeypatch):
     # sum of the per-point degrees the recurrence runs for a cold 1..600
-    # build; re-evaluating every node on every pass took 252,945,489
+    # build; re-evaluating every node on every pass took 252,945,489, and
+    # two Halley steps at every node 108,405,147
     work = []
     pair = gauss_rule._legendre_pair
 
@@ -302,4 +339,4 @@ def test_recurrence_work(monkeypatch):
 
     monkeypatch.setattr(gauss_rule, "_legendre_pair", counted)
     _cold_batch(monkeypatch, range(1, 601))
-    assert sum(work) <= 125_000_000
+    assert sum(work) <= 42_000_000
