@@ -16,6 +16,10 @@ skipped.  Each line becomes the flag --key=value, placed ahead of the
 command-line flags, so those win.  `check` takes true/false, yes/no or
 1/0.  An unknown key is a usage error; a line without `=` raises
 ValueError.
+
+`example` takes only the flags its integrand uses (1: --alpha --b,
+2: --k --b, 3: none, 4: --variant --b, 5: --b); any other one, from the
+command line or --config, is a usage error.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .singularity_model import Power, parse_integrand
 _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 _SWITCHES = ("check",)   # keys whose flag takes no value
+_EXAMPLE_FLAGS = {1: {"alpha", "b"}, 2: {"k", "b"}, 3: set(),
+                  4: {"variant", "b"}, 5: {"b"}}
 
 _CONFIG = argparse.ArgumentParser(prog="singquad", add_help=False)
 _CONFIG.add_argument("--config", default=None,
@@ -90,10 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("example", parents=[_CONFIG],
                           help="reproduce a stock experiment")
     p_ex.add_argument("id", type=int, choices=range(1, 6))
-    p_ex.add_argument("--alpha", type=float, default=0.5)
-    p_ex.add_argument("--k", type=int, default=0)
-    p_ex.add_argument("--b", type=float, default=0.4)
-    p_ex.add_argument("--variant", type=int, default=1, choices=(1, 2))
+    # no defaults here: example_integrand has them, and a flag that is
+    # given must be one the example uses
+    p_ex.add_argument("--alpha", type=float)
+    p_ex.add_argument("--k", type=int)
+    p_ex.add_argument("--b", type=float)
+    p_ex.add_argument("--variant", type=int, choices=(1, 2))
     _add_common(p_ex)
 
     p_sw = sub.add_parser("sweep", parents=[_CONFIG],
@@ -135,12 +143,17 @@ def main(argv=None) -> int:
     config = _CONFIG.parse_known_args(argv)[0].config
     if config is not None:
         argv[1:1] = _config_flags(config)  # after the command: flags win
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "example":
-        f = example_integrand(args.id, alpha=args.alpha, k=args.k,
-                              b=args.b, variant=args.variant)
-        return _sweep_command(f, args)
+        given = {key: val for key, val in vars(args).items()
+                 if key in ("alpha", "k", "b", "variant") and val is not None}
+        unused = sorted(given.keys() - _EXAMPLE_FLAGS[args.id])
+        if unused:
+            parser.error(f"example {args.id} does not use "
+                         + ", ".join(f"--{key}" for key in unused))
+        return _sweep_command(example_integrand(args.id, **given), args)
 
     if args.command == "sweep":
         return _sweep_command(parse_integrand(args.spec), args)

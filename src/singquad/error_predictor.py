@@ -6,38 +6,36 @@ times the phase kernel
     (e^-x + cos Psi) / (cosh x + cos Psi)  or  sin Psi / (cosh x + cos Psi),
 
 with x = 2y / sin phi; the strict envelopes for odd k use its bound
-1 / sinh x.  The factor is y^(k+alpha) (times the exact log bracket for
-power-log) for the parity-reduced forms, which leading_term takes for
-Power and PowerLog without an envelope, and for the power-log envelopes;
-the jump of f across the cut for every other leading term; and
-x^(k+alpha) at sin phi = 2 for the phase root cos Psi0.  The power
-family's envelope bounds are closed forms.  Two private helpers carry the
-rest:
+1 / sinh x.  Envelopes and general jumps integrate the jump of f across
+the cut on [0, 10 log n].  All else is _reduced, the parity-reduced
+integral of y^(k+alpha) (times the log bracket for power-log) against
+the even kernel for even k and the odd one for odd k, on the one reach
+y_max = sin phi (34 + 3 sigma): the Power and PowerLog leading terms,
+the power-log envelopes and, at sin phi = 2 (x = y), the phase root.
 
-_phase_kernel(y, sin_phi, cos_psi) is the only place the kernel is
-written.  It returns e^-x + cos Psi and cosh x + cos Psi in expm1/sinh^2
-form, so the cos Psi -> -1 limit stays finite down to the smallest node.
-The complex kernel (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi)
-is -(2/pi) Q_n/P_n at z = b + iy/n, where the uniform Legendre
-asymptotics give Q_n/P_n = -i pi / (e^(x + i Psi) + 1).  The evidence is
-in the tests: tests/paper_asymptotics.py builds Q_n/P_n from
-_phase_kernel, and TestQPRatio checks it against exact Q_n/P_n.
+_phase_kernel(y, sin_phi, cp1) is the only place the kernel is written,
+in expm1/sinh^2 form and with cp1 = 1 + cos Psi, which PhaseInfo carries
+as 2 cos^2(Psi/2), so that neither cancels as cos Psi -> -1.  The complex
+kernel (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi) is
+-(2/pi) Q_n/P_n at z = b + iy/n, where the uniform Legendre asymptotics
+give Q_n/P_n = -i pi / (e^(x + i Psi) + 1); tests/paper_asymptotics.py
+builds Q_n/P_n from _phase_kernel, and TestQPRatio checks it against
+exact Q_n/P_n.
 
-_integrate(g, y_max, sigma, panels) integrates g with composite 32-point
-Gauss panels graded geometrically toward y = 0, where the integrand
-behaves like y^sigma (and like y^(sigma-1) at cos Psi = -1): the
-substitution y = y_max u^p, p = min(8, max(1, 2/sigma)), flattens that
-endpoint so each panel sees an analytic integrand and the dropped stub
-is negligible (away from cos Psi = -1, sigma < 1/4 stays within 1e-13
-of the closed form; a cap of 16 lost up to 6e-7).  It also returns the
-sum over the outer half of the panels; both leading-term routes reject a
-value that is not finite or whose inner half, nearest y = 0, changes it
-by more than 1e-3.  The unit panels are cached per panel count.
+_integrate(g, y_max, sigma) is the only quadrature: one grid of 60
+panels with the nodes of compute_rule(32), built at import and graded
+toward y = 0, where the integrand behaves like y^sigma (and like
+y^(sigma-1) at cos Psi = -1).  The substitution y = y_max u^p,
+p = min(8, max(1, 2/sigma)), flattens that endpoint so each panel sees
+an analytic integrand and the dropped stub is negligible (away from
+cos Psi = -1, sigma < 1/4 stays within 1e-13 of the closed form; a cap
+of 16 lost up to 6e-7).  It also returns the sum over the outer half of
+the panels; both leading-term routes reject a value that is not finite
+or whose inner half, nearest y = 0, changes it by more than 1e-3.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from .gauss_rule import compute_rule
 from .singularity_model import (Power, PowerLog, SingularIntegrand, jump,
                                 phase)
 from .special_functions import zeta_fn
@@ -64,8 +63,8 @@ __all__ = [
     "predicted_order",
 ]
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _TRUNCATION = 10.0   # envelopes and general jumps: y in [0, 10 log n]
+_REACH = 34.0        # reduced integrals: y in [0, sin phi (34 + 3 sigma)]
 
 
 @dataclass(frozen=True)
@@ -100,37 +99,54 @@ class LogEnvelope:
     attained: bool
 
 
-def _phase_kernel(y: np.ndarray, sin_phi: float, cos_psi: float):
-    """(e^-x + cos Psi, cosh x + cos Psi) at x = 2y/sin phi."""
+def _phase_kernel(y: np.ndarray, sin_phi: float, cp1: float):
+    """(e^-x + cos Psi, cosh x + cos Psi) at x = 2y/sin phi, with
+    cp1 = 1 + cos Psi."""
     x = 2.0 * y / sin_phi
-    cp1 = 1.0 + cos_psi  # grouped: adding 1.0 to expm1 first would absorb
     return np.expm1(-x) + cp1, 2.0 * np.sinh(0.5 * x) ** 2 + cp1
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_panels(panels: int):
-    # panel j covers u in [2^-(j+1), 2^-j]
-    edges = 0.5 ** np.arange(panels + 1)
-    hi, lo = edges[:-1], edges[1:]
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    u = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wu = (half[:, None] * _GL_W[None, :]).ravel()
-    u.setflags(write=False)
-    wu.setflags(write=False)
+def _unit_panels():
+    # 60 panels in u: octaves [2^-(j+1), 2^-j] down to 2^-58, the two top
+    # ones halved, since y = y_max u^p crowds the kernel's decay near u = 1
+    rule = compute_rule(32)
+    edges = 0.5 ** np.concatenate([np.arange(0.0, 2.0, 0.5),
+                                   np.arange(2.0, 59.0)])
+    hi, lo = edges[:-1, None], edges[1:, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    u = (mid + half * rule.nodes).ravel()
+    wu = (half * rule.weights).ravel()
+    for a in (u, wu):
+        a.setflags(write=False)
     return u, wu
 
 
-def _integrate(g, y_max: float, sigma: float, panels: int = 60):
-    """(int_0^y_max g, the same over the outer panels/2 panels) on the
+_U, _WU = _unit_panels()
+
+
+def _integrate(g, y_max: float, sigma: float):
+    """(int_0^y_max g, the same over the outer half of the panels) on the
     graded rule; sigma sets the grading exponent p."""
     p = min(8.0, max(1.0, 2.0 / sigma))
-    u, wu = _unit_panels(panels)
-    y = y_max * u ** p
-    w = wu * y_max * p * u ** (p - 1.0)
+    y = y_max * _U ** p
+    w = _WU * y_max * p * _U ** (p - 1.0)
     vals = g(y)
-    head = panels // 2 * len(_GL_X)
+    head = len(_U) // 2
     return float(np.dot(w, vals)), float(np.dot(w[:head], vals[:head]))
+
+
+def _reduced(k: int, sigma: float, sin_phi: float, cp1: float,
+             sin_psi: float, bracket=None):
+    """_integrate of y^sigma bracket(y) N_k / D over the reach
+    [0, sin phi (34 + 3 sigma)], with N_k / D the even kernel for even k
+    and the odd one for odd k; bracket None means 1."""
+    def g(y):
+        even, den = _phase_kernel(y, sin_phi, cp1)
+        kern = (even if k % 2 == 0 else sin_psi) / den
+        factor = y ** sigma if bracket is None else y ** sigma * bracket(y)
+        return factor * kern
+
+    return _integrate(g, sin_phi * (_REACH + 3.0 * sigma), sigma)
 
 
 def _checked(value: float, check: float) -> float:
@@ -166,7 +182,7 @@ def _jump_leading(f: SingularIntegrand, n: int) -> float:
 
     def g(y):
         with np.errstate(over="ignore"):  # x > 1420: den = inf, kernel 0
-            even, den = _phase_kernel(y, sin_phi, info.cos_psi)
+            even, den = _phase_kernel(y, sin_phi, info.cp1)
         return np.real(jump(f, y, n) * ((1j * even + info.sin_psi) / den))
 
     total, head = _integrate(g, _TRUNCATION * math.log(n),
@@ -180,23 +196,15 @@ def _parity_sign(k: int) -> float:
 
 
 def _reduced_leading(f: SingularIntegrand, n: int, k: int, sigma: float,
-                     reach: float, scale: float, bracket=None) -> float:
-    """sign * scale * int_0^(reach sin phi) y^sigma bracket(y) N_k / D dy
-    / n^(sigma+1), with N_k / D the even or odd phase kernel of k."""
+                     scale: float, bracket=None) -> float:
+    """sign * scale * _reduced(...) / n^(sigma+1) at f's phase."""
     if f.envelope is not None:
         raise TypeError("parity reduction does not cover envelopes")
     info = phase(f, n)
-    sin_phi = math.sin(info.phi)
-
-    def g(y):
-        even, den = _phase_kernel(y, sin_phi, info.cos_psi)
-        kern = (even if k % 2 == 0 else info.sin_psi) / den
-        factor = y ** sigma if bracket is None else y ** sigma * bracket(y)
-        return factor * kern
-
-    integral, head = _integrate(g, sin_phi * reach, sigma)
+    total, head = _reduced(k, sigma, math.sin(info.phi), info.cp1,
+                           info.sin_psi, bracket)
     c, d = _parity_sign(k) * scale, n ** (sigma + 1.0)
-    return _checked(c * integral / d, c * head / d)
+    return _checked(c * total / d, c * head / d)
 
 
 def power_case_leading(f: SingularIntegrand, n: int) -> float:
@@ -213,7 +221,7 @@ def power_case_leading(f: SingularIntegrand, n: int) -> float:
     if not isinstance(fam, Power):
         raise TypeError("power_case_leading requires a Power family")
     sigma = fam.k + fam.alpha
-    return _reduced_leading(f, n, fam.k, sigma, 30.0 + 3.0 * sigma,
+    return _reduced_leading(f, n, fam.k, sigma,
                             2.0 * math.sin(fam.alpha * math.pi / 2))
 
 
@@ -230,8 +238,7 @@ def log_case_leading(f: SingularIntegrand, n: int) -> float:
                 * (np.log(y) - math.log(n))
                 + math.pi * math.sin((fam.beta + 1.0) * math.pi / 2))
 
-    return _reduced_leading(f, n, fam.k, sigma, 32.0 + 3.0 * sigma, 1.0,
-                            bracket)
+    return _reduced_leading(f, n, fam.k, sigma, 1.0, bracket)
 
 
 def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
@@ -278,32 +285,29 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
     s_beta1 = math.sin((fam.beta + 1.0) * math.pi / 2)
     sign = _parity_sign(fam.k)
 
-    def integral(g):
-        return _integrate(g, sp * (34.0 + 3.0 * sigma), sigma)[0]
-
     if fam.k % 2 == 0:
-        def at(cos_psi: float):
-            def kern(y):
-                even, den = _phase_kernel(y, sp, cos_psi)
-                return y ** sigma * even / den
-
-            def kern_log(y):
-                even, den = _phase_kernel(y, sp, cos_psi)
-                return y ** sigma * np.log(y) * even / den
-            base, base_log = integral(kern), integral(kern_log)
+        def at(cp1: float):
+            base = _reduced(fam.k, sigma, sp, cp1, 0.0)[0]
+            base_log = _reduced(fam.k, sigma, sp, cp1, 0.0, np.log)[0]
             # scaled = sign * [2 s_beta (log y - log n) + pi s_beta1] * kernel
             a = -sign * 2.0 * s_beta * base
             b = sign * (2.0 * s_beta * base_log + math.pi * s_beta1 * base)
             return a, b
 
-        cand = [at(1.0), at(-1.0)]
-        # upper envelope: larger A (log n dominates eventually)
-        cand.sort(key=lambda ab: ab[0])
-        return LogEnvelope(upper=cand[1], lower=cand[0], attained=True)
+        # cos Psi = +1 and -1; upper has the larger A (log n dominates
+        # eventually), or the larger B where A ties (beta = 0)
+        lower, upper = sorted([at(2.0), at(0.0)])
+        return LogEnvelope(upper=upper, lower=lower, attained=True)
 
-    base = integral(lambda y: y ** sigma / np.sinh(2.0 * y / sp))
-    base_log = integral(
-        lambda y: y ** sigma * np.abs(np.log(y)) / np.sinh(2.0 * y / sp))
+    def bound(factor, y_max):
+        return _integrate(lambda y: y ** sigma * factor(y)
+                          / np.sinh(2.0 * y / sp), y_max, sigma)[0]
+
+    y_max = sp * (_REACH + 3.0 * sigma)
+    base = bound(np.ones_like, y_max)
+    # |log y| has a kink at y = 1 inside a panel: integrate log y, then
+    # flip the sign of the part below y = 1
+    base_log = bound(np.log, y_max) - 2.0 * bound(np.log, min(1.0, y_max))
     a_sym = abs(2.0 * s_beta) * base
     b_sym = math.pi * abs(s_beta1) * base + abs(2.0 * s_beta) * base_log
     return LogEnvelope(upper=(a_sym, b_sym), lower=(-a_sym, -b_sym),
@@ -313,13 +317,8 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
 def psi0_residual(k: int, alpha: float, cos_psi0: float) -> float:
     """Value of int_0^inf x^(k+alpha) (e^-x + c)/(cosh x + c) dx at
     c = cos_psi0; the recommendation root is its zero."""
-    sigma = k + alpha
-
-    def g(y):
-        even, den = _phase_kernel(y, 2.0, cos_psi0)  # x = 2y/2 = y exactly
-        return y ** sigma * even / den
-
-    return _integrate(g, 70.0 + 3.0 * sigma, sigma, panels=80)[0]
+    # the even kernel (k = 0) at sin phi = 2, where x = 2y/2 = y exactly
+    return _reduced(0, k + alpha, 2.0, 1.0 + cos_psi0, 0.0)[0]
 
 
 def psi0_solve(k: int, alpha: float) -> float:

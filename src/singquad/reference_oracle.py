@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gauss_rule import compute_rule
 from .singularity_model import GeneralJump, Power, PowerLog, SingularIntegrand
 
 __all__ = ["ExactIntegral", "exact_integral", "split_adaptive_integral"]
 
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+_GL15 = compute_rule(15)
 _MAX_LEVELS = 60
+_TOL = 1e-14   # per-panel agreement of GL15 with its two halves
 
 
 @dataclass(frozen=True)
@@ -59,19 +61,19 @@ def _powerlog_closed_form(b: float, k: int,
 
 def _gl15(g, lo: float, hi: float) -> float:
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return half * float(np.dot(_GL15_W, g(mid + half * _GL15_X)))
+    return half * float(np.dot(_GL15.weights, g(mid + half * _GL15.nodes)))
 
 
-def _adaptive(g, lo: float, hi: float, tol: float, level: int = 0,
+def _adaptive(g, lo: float, hi: float, level: int = 0,
               parent_diff: float = math.inf):
     # fixed per-panel agreement threshold; the geometric chain of panels
-    # hugging the singular endpoint contributes only a few multiples of tol
+    # hugging the singular endpoint contributes only a few multiples of it
     whole = _gl15(g, lo, hi)
     mid = 0.5 * (lo + hi)
     left = _gl15(g, lo, mid)
     right = _gl15(g, mid, hi)
     diff = abs(whole - (left + right))
-    if diff <= tol:
+    if diff <= _TOL:
         if lo == 0.0:
             # at the singular endpoint halving shrinks the error by about
             # r = diff / parent_diff, so left + right is off by r/(1-r) diff
@@ -81,16 +83,16 @@ def _adaptive(g, lo: float, hi: float, tol: float, level: int = 0,
         return left + right, diff + rounding
     if level >= _MAX_LEVELS:
         raise RuntimeError("adaptive quadrature did not converge")
-    lval, lerr = _adaptive(g, lo, mid, tol, level + 1, diff)
-    rval, rerr = _adaptive(g, mid, hi, tol, level + 1, diff)
+    lval, lerr = _adaptive(g, lo, mid, level + 1, diff)
+    rval, rerr = _adaptive(g, mid, hi, level + 1, diff)
     return lval + rval, lerr + rerr
 
 
-def split_adaptive_integral(f: SingularIntegrand, tol: float = 1e-14) -> ExactIntegral:
+def split_adaptive_integral(f: SingularIntegrand) -> ExactIntegral:
     """Split at b, map each side to t = |x-b|, and refine until panels agree."""
     b = f.b
-    right, rerr = _adaptive(lambda t: f(b + t), 0.0, 1.0 - b, tol)
-    left, lerr = _adaptive(lambda t: f(b - t), 0.0, 1.0 + b, tol)
+    right, rerr = _adaptive(lambda t: f(b + t), 0.0, 1.0 - b)
+    left, lerr = _adaptive(lambda t: f(b - t), 0.0, 1.0 + b)
     return ExactIntegral(value=right + left, method="split_adaptive",
                          est_abs_error=rerr + lerr)
 

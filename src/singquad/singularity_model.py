@@ -94,6 +94,7 @@ class PhaseInfo:
     psi: float          # (2n+1) phi - pi/2, reduced to (-pi, pi]
     cos_psi: float
     sin_psi: float
+    cp1: float          # 1 + cos Psi as 2 cos^2(Psi/2): no cancellation at pi
 
     @property
     def cos_phase(self) -> float:
@@ -153,7 +154,6 @@ def gauss_envelope(b: float):
     """exp(-(x-b)^2), the analytic envelope used by the library examples."""
     def env(z):
         return np.exp(-(np.asarray(z) - b) ** 2)
-    env.tag = "gauss"
     return env
 
 
@@ -197,13 +197,17 @@ def phase(f: SingularIntegrand, n: int) -> PhaseInfo:
     At b = 0 and odd n, b is the middle Gauss node and Psi = pi exactly;
     the rounded reduction would leave sin Psi ~ 1e-16, which the kernel
     denominator ~ y^2 of that phase turns into a spurious term.
+    1 + cos Psi comes as 2 cos^2(Psi/2), which keeps its relative accuracy
+    where cos Psi rounds to -1 while sin Psi does not vanish.
     """
     phi = f.phi
     if f.b == 0.0 and n % 2 == 1:
-        return PhaseInfo(phi=phi, psi=math.pi, cos_psi=-1.0, sin_psi=0.0)
+        return PhaseInfo(phi=phi, psi=math.pi, cos_psi=-1.0, sin_psi=0.0,
+                         cp1=0.0)
     psi = math.remainder((2 * n + 1) * phi - math.pi / 2, 2.0 * math.pi)
-    return PhaseInfo(phi=phi, psi=psi,
-                     cos_psi=math.cos(psi), sin_psi=math.sin(psi))
+    return PhaseInfo(phi=phi, psi=psi, cos_psi=math.cos(psi),
+                     sin_psi=math.sin(psi),
+                     cp1=2.0 * math.cos(0.5 * psi) ** 2)
 
 
 def parse_integrand(spec: str) -> SingularIntegrand:

@@ -212,7 +212,7 @@ def qp_ratio_asymptotic(n: int, b: float, y: float) -> complex:
     x = 2y/sin phi, which is -i pi / (exp(x + i Psi) + 1)."""
     info = phase(SingularIntegrand(b, Power(0, 0.5)), n)
     with np.errstate(over="ignore"):   # cosh x overflows to inf for large y
-        even, den = _phase_kernel(y, math.sin(info.phi), info.cos_psi)
+        even, den = _phase_kernel(y, math.sin(info.phi), info.cp1)
     return complex(-0.5 * math.pi * (info.sin_psi + 1j * even) / den)
 
 

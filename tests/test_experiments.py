@@ -184,6 +184,25 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().splitlines()) == 112
 
+    @pytest.mark.parametrize("argv,unused", [
+        (["example", "3", "--b", "0.2", "--alpha", "0.9"], "--alpha, --b"),
+        (["example", "1", "--k", "3", "--variant", "2"], "--k, --variant"),
+        (["example", "5", "--alpha", "0.5"], "--alpha"),
+    ])
+    def test_example_rejects_unused_flags(self, argv, unused, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"does not use {unused}" in capsys.readouterr().err
+
+    def test_example_rejects_unused_config_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "ex.cfg"
+        cfgfile.write_text("k = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["example", "1", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        assert "does not use --k" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,value", [("false", False), ("no", False),
                                             ("0", False), ("true", True),
                                             ("Yes", True), ("1", True)])

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +344,14 @@ def test_recurrence_work(monkeypatch):
     monkeypatch.setattr(gauss_rule, "_legendre_pair", counted)
     _cold_batch(monkeypatch, range(1, 601))
     assert sum(work) <= 42_000_000
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # compute_rule is the one Gauss-Legendre builder: the predictor's
+    # 32-point panels and the oracle's GL15 come from it, not from leggauss
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, singquad; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
