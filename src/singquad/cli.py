@@ -19,7 +19,9 @@ ValueError.
 
 `example` takes only the flags its integrand uses (1: --alpha --b,
 2: --k --b, 3: none, 4: --variant --b, 5: --b); any other one, from the
-command line or --config, is a usage error.
+command line or --config, is a usage error.  So are a --spec that
+parse_integrand rejects, an --n, --nmin or --nmax below 10, and an
+--nmin not below --nmax (above it, for recommend).
 """
 
 from __future__ import annotations
@@ -72,16 +74,28 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_size = _int_at_least(10)   # leading_term, recommend_n and sweeps need n >= 10
+
+
+def _spec(text: str):
+    try:
+        return parse_integrand(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nmin", type=int, default=10)
-    p.add_argument("--nmax", type=int, default=600)
+    p.add_argument("--nmin", type=_size, default=10)
+    p.add_argument("--nmax", type=_size, default=600)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--check", action="store_true",
                    help="exit nonzero on envelope violations at n >= 100")
@@ -106,20 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", parents=[_CONFIG],
                           help="sweep n for a custom integrand")
-    p_sw.add_argument("--spec", required=True)
+    p_sw.add_argument("--spec", type=_spec, required=True)
     _add_common(p_sw)
 
     p_pr = sub.add_parser("predict", parents=[_CONFIG],
                           help="predict the error at one n")
-    p_pr.add_argument("--spec", required=True)
-    p_pr.add_argument("--n", type=int, required=True)
+    p_pr.add_argument("--spec", type=_spec, required=True)
+    p_pr.add_argument("--n", type=_size, required=True)
 
     p_rec = sub.add_parser("recommend", parents=[_CONFIG],
                            help="rank quadrature sizes")
-    p_rec.add_argument("--spec", required=True)
-    p_rec.add_argument("--nmin", type=int, required=True)
-    p_rec.add_argument("--nmax", type=int, required=True)
-    p_rec.add_argument("--top", type=_positive_int, default=10)
+    p_rec.add_argument("--spec", type=_spec, required=True)
+    p_rec.add_argument("--nmin", type=_size, required=True)
+    p_rec.add_argument("--nmax", type=_size, required=True)
+    p_rec.add_argument("--top", type=_int_at_least(1), default=10)
     return parser
 
 
@@ -145,6 +159,10 @@ def main(argv=None) -> int:
         argv[1:1] = _config_flags(config)  # after the command: flags win
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("example", "sweep") and args.nmin >= args.nmax:
+        parser.error("--nmin must be below --nmax")
+    if args.command == "recommend" and args.nmin > args.nmax:
+        parser.error("--nmin must not exceed --nmax")
 
     if args.command == "example":
         given = {key: val for key, val in vars(args).items()
@@ -156,10 +174,10 @@ def main(argv=None) -> int:
         return _sweep_command(example_integrand(args.id, **given), args)
 
     if args.command == "sweep":
-        return _sweep_command(parse_integrand(args.spec), args)
+        return _sweep_command(args.spec, args)
 
     if args.command == "predict":
-        f = parse_integrand(args.spec)
+        f = args.spec
         lead = leading_term(f, args.n)
         order = predicted_order(f)
         exact = exact_integral(f)
@@ -181,8 +199,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "recommend":
-        f = parse_integrand(args.spec)
-        best = recommend_n(f, args.nmin, args.nmax)[:args.top]
+        best = recommend_n(args.spec, args.nmin, args.nmax)[:args.top]
         print(" ".join(str(n) for n in best))
         return 0
 

@@ -12,26 +12,34 @@ integral of y^(k+alpha) (times the log bracket for power-log) against
 the even kernel for even k and the odd one for odd k, on the one reach
 y_max = sin phi (34 + 3 sigma): the Power and PowerLog leading terms,
 the power-log envelopes and, at sin phi = 2 (x = y), the phase root.
+Its integrand depends on n and Psi only through the kernel's cos Psi,
+sin Psi and the power-log bracket, so the rest (weights, y^sigma,
+e^-x - 1, cosh x - 1) is built once per (sigma, sin phi) as a _Grid,
+and each phase forms only the rational kernel and two dot products:
+_leading_terms ranks every size of recommend_n and run_sweep on one
+grid, and psi0_solve bisects on one.
 
-_phase_kernel(y, sin_phi, cp1) is the only place the kernel is written,
-in expm1/sinh^2 form and with cp1 = 1 + cos Psi, which PhaseInfo carries
-as 2 cos^2(Psi/2), so that neither cancels as cos Psi -> -1.  The complex
-kernel (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi) is
--(2/pi) Q_n/P_n at z = b + iy/n, where the uniform Legendre asymptotics
-give Q_n/P_n = -i pi / (e^(x + i Psi) + 1); tests/paper_asymptotics.py
+_kernel_parts(y, sin_phi) is the only place the kernel's x-dependence is
+written, in expm1/sinh^2 form; _phase_kernel and _reduced add
+cp1 = 1 + cos Psi, which PhaseInfo carries as 2 cos^2(Psi/2), so that
+neither cancels as cos Psi -> -1.  The complex kernel
+(sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi) is -(2/pi) Q_n/P_n
+at z = b + iy/n, where the uniform Legendre asymptotics give
+Q_n/P_n = -i pi / (e^(x + i Psi) + 1); tests/paper_asymptotics.py
 builds Q_n/P_n from _phase_kernel, and TestQPRatio checks it against
 exact Q_n/P_n.
 
-_integrate(g, y_max, sigma) is the only quadrature: one grid of 60
-panels with the nodes of compute_rule(32), built at import and graded
-toward y = 0, where the integrand behaves like y^sigma (and like
+_graded(y_max, sigma) is the only quadrature rule (_integrate applies
+it to a callable, _reduced_grid to the reduced integrand): 60 panels
+with the nodes of compute_rule(32), built at import and graded toward
+y = 0, where the integrand behaves like y^sigma (and like
 y^(sigma-1) at cos Psi = -1).  The substitution y = y_max u^p,
 p = min(8, max(1, 2/sigma)), flattens that endpoint so each panel sees
 an analytic integrand and the dropped stub is negligible (away from
 cos Psi = -1, sigma < 1/4 stays within 1e-13 of the closed form; a cap
-of 16 lost up to 6e-7).  It also returns the sum over the outer half of
-the panels; both leading-term routes reject a value that is not finite
-or whose inner half, nearest y = 0, changes it by more than 1e-3.
+of 16 lost up to 6e-7).  _sums also returns the sum over the outer
+half of the panels; both leading-term routes reject a value that is not
+finite or whose inner half, nearest y = 0, changes it by more than 1e-3.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,11 +107,17 @@ class LogEnvelope:
     attained: bool
 
 
+def _kernel_parts(y: np.ndarray, sin_phi: float):
+    """(e^-x - 1, cosh x - 1) at x = 2y/sin phi: the kernel without Psi."""
+    x = 2.0 * y / sin_phi
+    return np.expm1(-x), 2.0 * np.sinh(0.5 * x) ** 2
+
+
 def _phase_kernel(y: np.ndarray, sin_phi: float, cp1: float):
     """(e^-x + cos Psi, cosh x + cos Psi) at x = 2y/sin phi, with
     cp1 = 1 + cos Psi."""
-    x = 2.0 * y / sin_phi
-    return np.expm1(-x) + cp1, 2.0 * np.sinh(0.5 * x) ** 2 + cp1
+    em1, sh2 = _kernel_parts(y, sin_phi)
+    return em1 + cp1, sh2 + cp1
 
 
 def _unit_panels():
@@ -122,31 +136,50 @@ def _unit_panels():
 
 
 _U, _WU = _unit_panels()
+_HEAD = len(_U) // 2
+
+
+def _graded(y_max: float, sigma: float):
+    """Nodes and weights of the graded rule on [0, y_max]; sigma sets the
+    grading exponent p."""
+    p = min(8.0, max(1.0, 2.0 / sigma))
+    return y_max * _U ** p, _WU * y_max * p * _U ** (p - 1.0)
+
+
+def _sums(w: np.ndarray, vals: np.ndarray):
+    """(sum w vals, the same over the outer half of the panels)."""
+    return float(np.dot(w, vals)), float(np.dot(w[:_HEAD], vals[:_HEAD]))
 
 
 def _integrate(g, y_max: float, sigma: float):
     """(int_0^y_max g, the same over the outer half of the panels) on the
-    graded rule; sigma sets the grading exponent p."""
-    p = min(8.0, max(1.0, 2.0 / sigma))
-    y = y_max * _U ** p
-    w = _WU * y_max * p * _U ** (p - 1.0)
-    vals = g(y)
-    head = len(_U) // 2
-    return float(np.dot(w, vals)), float(np.dot(w[:head], vals[:head]))
+    graded rule."""
+    y, w = _graded(y_max, sigma)
+    return _sums(w, g(y))
 
 
-def _reduced(k: int, sigma: float, sin_phi: float, cp1: float,
-             sin_psi: float, bracket=None):
-    """_integrate of y^sigma bracket(y) N_k / D over the reach
-    [0, sin phi (34 + 3 sigma)], with N_k / D the even kernel for even k
-    and the odd one for odd k; bracket None means 1."""
-    def g(y):
-        even, den = _phase_kernel(y, sin_phi, cp1)
-        kern = (even if k % 2 == 0 else sin_psi) / den
-        factor = y ** sigma if bracket is None else y ** sigma * bracket(y)
-        return factor * kern
+class _Grid(NamedTuple):
+    """The n- and Psi-free parts of _reduced at one (sigma, sin phi)."""
 
-    return _integrate(g, sin_phi * (_REACH + 3.0 * sigma), sigma)
+    y: np.ndarray
+    w: np.ndarray
+    ys: np.ndarray     # y^sigma
+    em1: np.ndarray    # e^-x - 1
+    sh2: np.ndarray    # cosh x - 1
+
+
+def _reduced_grid(sigma: float, sin_phi: float) -> _Grid:
+    """_Grid on the reach [0, sin phi (34 + 3 sigma)]."""
+    y, w = _graded(sin_phi * (_REACH + 3.0 * sigma), sigma)
+    return _Grid(y, w, y ** sigma, *_kernel_parts(y, sin_phi))
+
+
+def _reduced(grid: _Grid, odd: bool, cp1: float, sin_psi: float,
+             factor: np.ndarray):
+    """_sums of factor N / D on grid at one phase, with N / D the even
+    kernel, or the odd one if odd."""
+    kern = (sin_psi if odd else grid.em1 + cp1) / (grid.sh2 + cp1)
+    return _sums(grid.w, factor * kern)
 
 
 def _checked(value: float, check: float) -> float:
@@ -166,13 +199,18 @@ def leading_term(f: SingularIntegrand, n: int) -> float:
     route; envelopes and general jumps integrate the jump on
     [0, 10 log n].
     """
-    if not isinstance(n, numbers.Integral) or n < 10:
-        raise ValueError(f"leading_term needs an integer n >= 10, got {n!r}")
-    if f.envelope is None and isinstance(f.family, Power):
-        return power_case_leading(f, n)
-    if f.envelope is None and isinstance(f.family, PowerLog):
-        return log_case_leading(f, n)
-    return _jump_leading(f, n)
+    return _leading_terms(f, [n])[0]
+
+
+def _leading_terms(f: SingularIntegrand, ns) -> list[float]:
+    """[leading_term(f, n) for n in ns], with one reduced grid for all n."""
+    for n in ns:
+        if not isinstance(n, numbers.Integral) or n < 10:
+            raise ValueError(
+                f"leading_term needs an integer n >= 10, got {n!r}")
+    if f.envelope is None and isinstance(f.family, (Power, PowerLog)):
+        return _reduced_terms(f, ns)
+    return [_jump_leading(f, n) for n in ns]
 
 
 def _jump_leading(f: SingularIntegrand, n: int) -> float:
@@ -195,16 +233,35 @@ def _parity_sign(k: int) -> float:
     return -1.0 if k % 4 in (0, 1) else 1.0
 
 
-def _reduced_leading(f: SingularIntegrand, n: int, k: int, sigma: float,
-                     scale: float, bracket=None) -> float:
-    """sign * scale * _reduced(...) / n^(sigma+1) at f's phase."""
+def _reduced_terms(f: SingularIntegrand, ns) -> list[float]:
+    """sign * scale * _reduced / n^(sigma+1) at f's phase for each n, on
+    one grid; power-log carries the bracket a (log y - log n) + b."""
     if f.envelope is not None:
         raise TypeError("parity reduction does not cover envelopes")
-    info = phase(f, n)
-    total, head = _reduced(k, sigma, math.sin(info.phi), info.cp1,
-                           info.sin_psi, bracket)
-    c, d = _parity_sign(k) * scale, n ** (sigma + 1.0)
-    return _checked(c * total / d, c * head / d)
+    fam, sigma = f.family, f.singular_exponent
+    grid = _reduced_grid(sigma, math.sin(f.phi))
+    if isinstance(fam, Power):
+        scale = 2.0 * math.sin(fam.alpha * math.pi / 2)
+
+        def factor(n):
+            return grid.ys
+    else:
+        scale = 1.0
+        a = 2.0 * math.sin(fam.beta * math.pi / 2)
+        b = math.pi * math.sin((fam.beta + 1.0) * math.pi / 2)
+        logy = np.log(grid.y)
+
+        def factor(n):
+            return grid.ys * (a * (logy - math.log(n)) + b)
+
+    c, odd = _parity_sign(fam.k) * scale, fam.k % 2 == 1
+    out = []
+    for n in ns:
+        info = phase(f, n)
+        total, head = _reduced(grid, odd, info.cp1, info.sin_psi, factor(n))
+        d = n ** (sigma + 1.0)
+        out.append(_checked(c * total / d, c * head / d))
+    return out
 
 
 def power_case_leading(f: SingularIntegrand, n: int) -> float:
@@ -217,28 +274,17 @@ def power_case_leading(f: SingularIntegrand, n: int) -> float:
     N_k = sin Psi for k = 1, 3 (mod 4).  Agrees with leading_term to
     machine accuracy; the envelope, if any, is not part of this route.
     """
-    fam = f.family
-    if not isinstance(fam, Power):
+    if not isinstance(f.family, Power):
         raise TypeError("power_case_leading requires a Power family")
-    sigma = fam.k + fam.alpha
-    return _reduced_leading(f, n, fam.k, sigma,
-                            2.0 * math.sin(fam.alpha * math.pi / 2))
+    return _reduced_terms(f, [n])[0]
 
 
 def log_case_leading(f: SingularIntegrand, n: int) -> float:
     """Parity-reduced leading term for the power-log family, keeping the
     exact log(y) - log(n) bracket."""
-    fam = f.family
-    if not isinstance(fam, PowerLog):
+    if not isinstance(f.family, PowerLog):
         raise TypeError("log_case_leading requires a PowerLog family")
-    sigma = fam.k + fam.beta
-
-    def bracket(y):
-        return (2.0 * math.sin(fam.beta * math.pi / 2)
-                * (np.log(y) - math.log(n))
-                + math.pi * math.sin((fam.beta + 1.0) * math.pi / 2))
-
-    return _reduced_leading(f, n, fam.k, sigma, 1.0, bracket)
+    return _reduced_terms(f, [n])[0]
 
 
 def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
@@ -286,9 +332,12 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
     sign = _parity_sign(fam.k)
 
     if fam.k % 2 == 0:
+        grid = _reduced_grid(sigma, sp)
+        ys_log = grid.ys * np.log(grid.y)
+
         def at(cp1: float):
-            base = _reduced(fam.k, sigma, sp, cp1, 0.0)[0]
-            base_log = _reduced(fam.k, sigma, sp, cp1, 0.0, np.log)[0]
+            base = _reduced(grid, False, cp1, 0.0, grid.ys)[0]
+            base_log = _reduced(grid, False, cp1, 0.0, ys_log)[0]
             # scaled = sign * [2 s_beta (log y - log n) + pi s_beta1] * kernel
             a = -sign * 2.0 * s_beta * base
             b = sign * (2.0 * s_beta * base_log + math.pi * s_beta1 * base)
@@ -314,11 +363,19 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
                        attained=False)
 
 
+def _psi0_grid(k: int, alpha: float) -> _Grid:
+    # the even kernel (k = 0) at sin phi = 2, where x = 2y/2 = y exactly
+    return _reduced_grid(k + alpha, 2.0)
+
+
+def _psi0_value(grid: _Grid, cos_psi0: float) -> float:
+    return _reduced(grid, False, 1.0 + cos_psi0, 0.0, grid.ys)[0]
+
+
 def psi0_residual(k: int, alpha: float, cos_psi0: float) -> float:
     """Value of int_0^inf x^(k+alpha) (e^-x + c)/(cosh x + c) dx at
     c = cos_psi0; the recommendation root is its zero."""
-    # the even kernel (k = 0) at sin phi = 2, where x = 2y/2 = y exactly
-    return _reduced(0, k + alpha, 2.0, 1.0 + cos_psi0, 0.0)[0]
+    return _psi0_value(_psi0_grid(k, alpha), cos_psi0)
 
 
 def psi0_solve(k: int, alpha: float) -> float:
@@ -326,19 +383,20 @@ def psi0_solve(k: int, alpha: float) -> float:
 
     The defining integral is strictly increasing in cos Psi0, so bisection
     on (-1 + 1e-9, 1) is safe; the endpoints have opposite signs because
-    the attained envelope extremes do.
+    the attained envelope extremes do.  Every step reuses one grid.
     """
     Power(k, alpha)   # raises ValueError on an invalid pair
     if k % 4 not in (0, 2):
         raise ValueError("psi0_solve applies to k = 0, 2 (mod 4) only")
+    grid = _psi0_grid(k, alpha)
     lo, hi = -1.0 + 1e-9, 1.0
-    flo = psi0_residual(k, alpha, lo)
-    fhi = psi0_residual(k, alpha, hi)
+    flo = _psi0_value(grid, lo)
+    fhi = _psi0_value(grid, hi)
     if flo >= 0.0 or fhi <= 0.0:
         raise RuntimeError("no sign change for the phase-root integral")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = psi0_residual(k, alpha, mid)
+        fmid = _psi0_value(grid, mid)
         if abs(fmid) <= 1e-10:
             return mid
         if fmid > 0.0:
@@ -360,8 +418,9 @@ def recommend_n(f: SingularIntegrand, n_min: int, n_max: int) -> list[int]:
         raise ValueError("need integers 10 <= n_min <= n_max")
     sizes = list(range(n_min, n_max + 1))
     expo = f.singular_exponent + 1.0
-    return sorted(sizes,
-                  key=lambda n: (abs(leading_term(f, n) * n ** expo), n))
+    ranked = sorted((abs(lead * n ** expo), n)
+                    for n, lead in zip(sizes, _leading_terms(f, sizes)))
+    return [n for _, n in ranked]
 
 
 def predicted_order(f: SingularIntegrand) -> ErrorPrediction:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_predictor import coefficient_bounds, leading_term, recommend_n
+from .error_predictor import _leading_terms, coefficient_bounds, recommend_n
 from .gauss_rule import apply_rule, compute_rule, compute_rules
 from .reference_oracle import exact_integral
 from .singularity_model import (Power, PowerLog, SingularIntegrand,
@@ -93,10 +93,10 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
         bounds = coefficient_bounds(f)
     sizes = range(cfg.n_min, cfg.n_max + 1)
     records = []
-    for n, rule in zip(sizes, compute_rules(sizes)):
+    for n, rule, predicted in zip(sizes, compute_rules(sizes),
+                                  _leading_terms(f, sizes)):
         raw = apply_rule(rule, f)
         err = exact - raw
-        predicted = leading_term(f, n)
         rec = ExperimentRecord(
             n=n,
             error=err,

@@ -308,6 +308,32 @@ class TestCli:
         assert exc.value.code == 2
         assert "expected an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["recommend", "--spec", "power(0.4, 1, 1)", "--nmin", "5",
+          "--nmax", "20"], "argument --nmin: expected an integer >= 10"),
+        (["recommend", "--spec", "power(0.4, 1, 1)", "--nmin", "30",
+          "--nmax", "20"], "--nmin must not exceed --nmax"),
+        (["predict", "--spec", "power(0.4, 0, 0.5)", "--n", "5"],
+         "argument --n: expected an integer >= 10"),
+        (["sweep", "--spec", "power(0.4, 0, 0.5)", "--nmin", "5"],
+         "argument --nmin: expected an integer >= 10"),
+        (["sweep", "--spec", "bogus(1)"], "argument --spec:"),
+        (["predict", "--spec", "power(2.0, 0, 0.5)", "--n", "100"],
+         "argument --spec: b must lie in (-1, 1)"),
+    ], ids=["recommend-nmin", "recommend-order", "predict-n", "sweep-nmin",
+            "spec-name", "spec-b"])
+    def test_bad_input_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_sweep_needs_nmin_below_nmax(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["example", "1", "--nmin", "40", "--nmax", "40"])
+        assert exc.value.code == 2
+        assert "--nmin must be below --nmax" in capsys.readouterr().err
+
 
 def _documented_commands():
     import singquad.cli as cli

@@ -314,7 +314,8 @@ def test_sizes_near_the_old_residual_tolerance(n):
 
 
 def _cold_batch(monkeypatch, ns):
-    # the cache as a fresh import has it: only the midpoint rule
+    # only the midpoint rule, so every other size builds cold (a fresh
+    # import also holds n = 15 and 32, for the oracle and the predictor)
     monkeypatch.setattr(gauss_rule, "_rules", {1: compute_rule(1)})
     return compute_rules(ns)
 
