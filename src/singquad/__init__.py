@@ -12,7 +12,7 @@ from .experiments import (ExperimentRecord, SweepConfig,
                           envelope_violations, example_integrand,
                           fit_envelope_slope, report, run_sweep, write_csv)
 from .gauss_rule import (QuadratureRule, apply_rule, compute_rule,
-                         compute_rules, remainder)
+                         compute_rules)
 from .reference_oracle import (ExactIntegral, exact_integral,
                                split_adaptive_integral)
 from .singularity_model import (GeneralJump, PhaseInfo, Power, PowerLog,

@@ -20,8 +20,9 @@ ValueError.
 `example` takes only the flags its integrand uses (1: --alpha --b,
 2: --k --b, 3: none, 4: --variant --b, 5: --b); any other one, from the
 command line or --config, is a usage error.  So are a --spec that
-parse_integrand rejects, an --n, --nmin or --nmax below 10, and an
---nmin not below --nmax (above it, for recommend).
+parse_integrand rejects, an --n, --nmin or --nmax below 10, an --nmin
+not below --nmax (above it, for recommend), and an example or sweep
+--nmax above the largest Gauss rule, gauss_rule._MAX_POINTS.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .error_predictor import (leading_term, predicted_order, psi0_solve,
                               recommend_n)
 from .experiments import (SweepConfig, envelope_violations,
                           example_integrand, report, run_sweep, write_csv)
+from .gauss_rule import _MAX_POINTS
 from .reference_oracle import exact_integral
 from .singularity_model import Power, parse_integrand
 
@@ -161,6 +163,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("example", "sweep") and args.nmin >= args.nmax:
         parser.error("--nmin must be below --nmax")
+    if args.command in ("example", "sweep") and args.nmax > _MAX_POINTS:
+        parser.error(f"--nmax must not exceed {_MAX_POINTS}, the rule cap")
     if args.command == "recommend" and args.nmin > args.nmax:
         parser.error("--nmin must not exceed --nmax")
 

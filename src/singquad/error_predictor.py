@@ -6,33 +6,33 @@ times the phase kernel
     (e^-x + cos Psi) / (cosh x + cos Psi)  or  sin Psi / (cosh x + cos Psi),
 
 with x = 2y / sin phi; the strict envelopes for odd k use its bound
-1 / sinh x.  Envelopes and general jumps integrate the jump of f across
-the cut on [0, 10 log n].  All else is _reduced, the parity-reduced
-integral of y^(k+alpha) (times the log bracket for power-log) against
-the even kernel for even k and the odd one for odd k, on the one reach
-y_max = sin phi (34 + 3 sigma): the Power and PowerLog leading terms,
-the power-log envelopes and, at sin phi = 2 (x = y), the phase root.
-Its integrand depends on n and Psi only through the kernel's cos Psi,
-sin Psi and the power-log bracket, so the rest (weights, y^sigma,
-e^-x - 1, cosh x - 1) is built once per (sigma, sin phi) as a _Grid,
-and each phase forms only the rational kernel and two dot products:
-_leading_terms ranks every size of recommend_n and run_sweep on one
-grid, and psi0_solve bisects on one.
+1 / sinh x, all on the one reach y_max = sin phi (34 + 3 sigma).
+Envelopes and general jumps take the jump route: Re of the jump of f
+across the cut times the complex kernel.  All else is _reduced, the
+parity-reduced integral of y^(k+alpha) (times the log bracket for
+power-log) against the even kernel for even k and the odd one for odd
+k: the Power and PowerLog leading terms, the power-log envelopes and,
+at sin phi = 2 (x = y), the phase root.  Both routes depend on n and
+Psi only through cos Psi, sin Psi and the jump or the bracket, so the
+rest (weights, e^-x - 1, cosh x - 1) is built once per (sigma, sin phi)
+by _grid, and each size forms only the rational kernel and two dot
+products: _leading_terms ranks every size of recommend_n and run_sweep
+on one grid, and psi0_solve bisects on one.
 
 _kernel_parts(y, sin_phi) is the only place the kernel's x-dependence is
-written, in expm1/sinh^2 form; _phase_kernel and _reduced add
-cp1 = 1 + cos Psi, which PhaseInfo carries as 2 cos^2(Psi/2), so that
-neither cancels as cos Psi -> -1.  The complex kernel
+written, in expm1/sinh^2 form; both routes add cp1 = 1 + cos Psi, which
+PhaseInfo carries as 2 cos^2(Psi/2), so that neither cancels as
+cos Psi -> -1.  The complex kernel
 (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi) is -(2/pi) Q_n/P_n
 at z = b + iy/n, where the uniform Legendre asymptotics give
 Q_n/P_n = -i pi / (e^(x + i Psi) + 1); tests/paper_asymptotics.py
-builds Q_n/P_n from _phase_kernel, and TestQPRatio checks it against
+builds Q_n/P_n from _kernel_parts, and TestQPRatio checks it against
 exact Q_n/P_n.
 
-_graded(y_max, sigma) is the only quadrature rule (_integrate applies
-it to a callable, _reduced_grid to the reduced integrand): 60 panels
-with the nodes of compute_rule(32), built at import and graded toward
-y = 0, where the integrand behaves like y^sigma (and like
+_graded(y_max, sigma) is the only quadrature rule (_grid applies it to
+the leading terms, _integrate to the odd-k envelope integrals): 60
+panels with the nodes of compute_rule(32), built at import and graded
+toward y = 0, where the integrand behaves like y^sigma (and like
 y^(sigma-1) at cos Psi = -1).  The substitution y = y_max u^p,
 p = min(8, max(1, 2/sigma)), flattens that endpoint so each panel sees
 an analytic integrand and the dropped stub is negligible (away from
@@ -71,8 +71,7 @@ __all__ = [
     "predicted_order",
 ]
 
-_TRUNCATION = 10.0   # envelopes and general jumps: y in [0, 10 log n]
-_REACH = 34.0        # reduced integrals: y in [0, sin phi (34 + 3 sigma)]
+_REACH = 34.0   # every leading term: y in [0, sin phi (34 + 3 sigma)]
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,6 @@ def _kernel_parts(y: np.ndarray, sin_phi: float):
     """(e^-x - 1, cosh x - 1) at x = 2y/sin phi: the kernel without Psi."""
     x = 2.0 * y / sin_phi
     return np.expm1(-x), 2.0 * np.sinh(0.5 * x) ** 2
-
-
-def _phase_kernel(y: np.ndarray, sin_phi: float, cp1: float):
-    """(e^-x + cos Psi, cosh x + cos Psi) at x = 2y/sin phi, with
-    cp1 = 1 + cos Psi."""
-    em1, sh2 = _kernel_parts(y, sin_phi)
-    return em1 + cp1, sh2 + cp1
 
 
 def _unit_panels():
@@ -159,19 +151,18 @@ def _integrate(g, y_max: float, sigma: float):
 
 
 class _Grid(NamedTuple):
-    """The n- and Psi-free parts of _reduced at one (sigma, sin phi)."""
+    """The n- and Psi-free parts of the integrand at one (sigma, sin phi)."""
 
     y: np.ndarray
     w: np.ndarray
-    ys: np.ndarray     # y^sigma
     em1: np.ndarray    # e^-x - 1
     sh2: np.ndarray    # cosh x - 1
 
 
-def _reduced_grid(sigma: float, sin_phi: float) -> _Grid:
+def _grid(sigma: float, sin_phi: float) -> _Grid:
     """_Grid on the reach [0, sin phi (34 + 3 sigma)]."""
     y, w = _graded(sin_phi * (_REACH + 3.0 * sigma), sigma)
-    return _Grid(y, w, y ** sigma, *_kernel_parts(y, sin_phi))
+    return _Grid(y, w, *_kernel_parts(y, sin_phi))
 
 
 def _reduced(grid: _Grid, odd: bool, cp1: float, sin_psi: float,
@@ -196,36 +187,34 @@ def leading_term(f: SingularIntegrand, n: int) -> float:
     """Leading error term: (1/n) int Re([f](b+iy/n) K(y)) dy.
 
     Power and PowerLog without an envelope take their parity-reduced
-    route; envelopes and general jumps integrate the jump on
-    [0, 10 log n].
+    route; envelopes and general jumps integrate the jump.
     """
     return _leading_terms(f, [n])[0]
 
 
 def _leading_terms(f: SingularIntegrand, ns) -> list[float]:
-    """[leading_term(f, n) for n in ns], with one reduced grid for all n."""
+    """[leading_term(f, n) for n in ns], with one grid for all n."""
     for n in ns:
         if not isinstance(n, numbers.Integral) or n < 10:
             raise ValueError(
                 f"leading_term needs an integer n >= 10, got {n!r}")
     if f.envelope is None and isinstance(f.family, (Power, PowerLog)):
         return _reduced_terms(f, ns)
-    return [_jump_leading(f, n) for n in ns]
+    return _jump_terms(f, ns)
 
 
-def _jump_leading(f: SingularIntegrand, n: int) -> float:
-    """The jump integral on [0, 10 log n], open to every integrand."""
-    info = phase(f, n)
-    sin_phi = math.sin(info.phi)
-
-    def g(y):
-        with np.errstate(over="ignore"):  # x > 1420: den = inf, kernel 0
-            even, den = _phase_kernel(y, sin_phi, info.cp1)
-        return np.real(jump(f, y, n) * ((1j * even + info.sin_psi) / den))
-
-    total, head = _integrate(g, _TRUNCATION * math.log(n),
-                             f.singular_exponent)
-    return _checked(total / n, head / n)
+def _jump_terms(f: SingularIntegrand, ns) -> list[float]:
+    """(1/n) int Re([f] K) at f's phase for each n, on one grid; open to
+    every integrand."""
+    grid = _grid(f.singular_exponent, math.sin(f.phi))
+    out = []
+    for n in ns:
+        info = phase(f, n)
+        kern = ((1j * (grid.em1 + info.cp1) + info.sin_psi)
+                / (grid.sh2 + info.cp1))
+        total, head = _sums(grid.w, np.real(jump(f, grid.y, n) * kern))
+        out.append(_checked(total / n, head / n))
+    return out
 
 
 def _parity_sign(k: int) -> float:
@@ -239,12 +228,13 @@ def _reduced_terms(f: SingularIntegrand, ns) -> list[float]:
     if f.envelope is not None:
         raise TypeError("parity reduction does not cover envelopes")
     fam, sigma = f.family, f.singular_exponent
-    grid = _reduced_grid(sigma, math.sin(f.phi))
+    grid = _grid(sigma, math.sin(f.phi))
+    ys = grid.y ** sigma
     if isinstance(fam, Power):
         scale = 2.0 * math.sin(fam.alpha * math.pi / 2)
 
         def factor(n):
-            return grid.ys
+            return ys
     else:
         scale = 1.0
         a = 2.0 * math.sin(fam.beta * math.pi / 2)
@@ -252,7 +242,7 @@ def _reduced_terms(f: SingularIntegrand, ns) -> list[float]:
         logy = np.log(grid.y)
 
         def factor(n):
-            return grid.ys * (a * (logy - math.log(n)) + b)
+            return ys * (a * (logy - math.log(n)) + b)
 
     c, odd = _parity_sign(fam.k) * scale, fam.k % 2 == 1
     out = []
@@ -332,11 +322,12 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
     sign = _parity_sign(fam.k)
 
     if fam.k % 2 == 0:
-        grid = _reduced_grid(sigma, sp)
-        ys_log = grid.ys * np.log(grid.y)
+        grid = _grid(sigma, sp)
+        ys = grid.y ** sigma
+        ys_log = ys * np.log(grid.y)
 
         def at(cp1: float):
-            base = _reduced(grid, False, cp1, 0.0, grid.ys)[0]
+            base = _reduced(grid, False, cp1, 0.0, ys)[0]
             base_log = _reduced(grid, False, cp1, 0.0, ys_log)[0]
             # scaled = sign * [2 s_beta (log y - log n) + pi s_beta1] * kernel
             a = -sign * 2.0 * s_beta * base
@@ -363,19 +354,18 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
                        attained=False)
 
 
-def _psi0_grid(k: int, alpha: float) -> _Grid:
-    # the even kernel (k = 0) at sin phi = 2, where x = 2y/2 = y exactly
-    return _reduced_grid(k + alpha, 2.0)
-
-
-def _psi0_value(grid: _Grid, cos_psi0: float) -> float:
-    return _reduced(grid, False, 1.0 + cos_psi0, 0.0, grid.ys)[0]
+def _psi0_integral(k: int, alpha: float):
+    # c -> psi0_residual(k, alpha, c) on one grid: the even kernel (k = 0)
+    # at sin phi = 2, where x = 2y/2 = y exactly
+    grid = _grid(k + alpha, 2.0)
+    ys = grid.y ** (k + alpha)
+    return lambda c: _reduced(grid, False, 1.0 + c, 0.0, ys)[0]
 
 
 def psi0_residual(k: int, alpha: float, cos_psi0: float) -> float:
     """Value of int_0^inf x^(k+alpha) (e^-x + c)/(cosh x + c) dx at
     c = cos_psi0; the recommendation root is its zero."""
-    return _psi0_value(_psi0_grid(k, alpha), cos_psi0)
+    return _psi0_integral(k, alpha)(cos_psi0)
 
 
 def psi0_solve(k: int, alpha: float) -> float:
@@ -383,21 +373,23 @@ def psi0_solve(k: int, alpha: float) -> float:
 
     The defining integral is strictly increasing in cos Psi0, so bisection
     on (-1 + 1e-9, 1) is safe; the endpoints have opposite signs because
-    the attained envelope extremes do.  Every step reuses one grid.
+    the attained envelope extremes do.  Every step reuses one grid.  It
+    stops at |f| <= 1e-10 or once the bracket is two adjacent doubles.
     """
     Power(k, alpha)   # raises ValueError on an invalid pair
     if k % 4 not in (0, 2):
         raise ValueError("psi0_solve applies to k = 0, 2 (mod 4) only")
-    grid = _psi0_grid(k, alpha)
+    value = _psi0_integral(k, alpha)
     lo, hi = -1.0 + 1e-9, 1.0
-    flo = _psi0_value(grid, lo)
-    fhi = _psi0_value(grid, hi)
+    flo, fhi = value(lo), value(hi)
     if flo >= 0.0 or fhi <= 0.0:
         raise RuntimeError("no sign change for the phase-root integral")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fmid = _psi0_value(grid, mid)
+        fmid = value(mid)
         if abs(fmid) <= 1e-10:
+            return mid
+        if mid in (lo, hi):   # |f| ~ Gamma(k + alpha + 1) may stay > 1e-10
             return mid
         if fmid > 0.0:
             hi = mid

@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules: construction, application, true remainders.
+"""Gauss-Legendre rules: construction and application.
 
 compute_rules(ns) builds every size of ns that is not cached yet in one
 batch, sizes sorted descending, in blocks of about 32k positive-half
@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QuadratureRule", "compute_rule", "compute_rules", "apply_rule",
-           "remainder"]
+__all__ = ["QuadratureRule", "compute_rule", "compute_rules", "apply_rule"]
 
 _MAX_POINTS = 2000
 _HALLEY_STEPS = 2
@@ -309,8 +308,3 @@ def apply_rule(rule: QuadratureRule, f) -> float:
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned a non-finite value at a node")
     return math.fsum((rule.weights * vals).tolist())
-
-
-def remainder(rule: QuadratureRule, f, exact: float) -> float:
-    """R_n[f] = exact integral minus the quadrature value."""
-    return exact - apply_rule(rule, f)

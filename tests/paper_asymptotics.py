@@ -1,6 +1,6 @@
 """The paper's derivation evidence: Legendre P_n, P_n' and Q_n off the cut,
 their uniform asymptotic forms, and Q_n/P_n from the one place the package
-writes it (error_predictor._phase_kernel); also test-only integrand helpers.
+writes it (error_predictor._kernel_parts); also test-only integrand helpers.
 
 Branch convention: xi = log(z + sqrt(z^2-1)) with the principal branch,
 so xi > 0 for real z > 1 and xi -> i*arccos(x) on the upper side of the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singquad import Power, PowerLog, SingularIntegrand, phase
-from singquad.error_predictor import _phase_kernel
+from singquad.error_predictor import _kernel_parts
 from singquad.gauss_rule import _legendre_pair, _p_dp
 
 _MAX_DEGREE = 5000
@@ -212,7 +212,8 @@ def qp_ratio_asymptotic(n: int, b: float, y: float) -> complex:
     x = 2y/sin phi, which is -i pi / (exp(x + i Psi) + 1)."""
     info = phase(SingularIntegrand(b, Power(0, 0.5)), n)
     with np.errstate(over="ignore"):   # cosh x overflows to inf for large y
-        even, den = _phase_kernel(y, math.sin(info.phi), info.cp1)
+        em1, sh2 = _kernel_parts(y, math.sin(info.phi))
+    even, den = em1 + info.cp1, sh2 + info.cp1
     return complex(-0.5 * math.pi * (info.sin_psi + 1j * even) / den)
 
 

@@ -334,6 +334,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "--nmin must be below --nmax" in capsys.readouterr().err
 
+    def test_nmax_above_rule_cap_is_a_usage_error(self, capsys):
+        from singquad.gauss_rule import _MAX_POINTS
+        for argv in (["example", "1"],
+                     ["sweep", "--spec", "power(0.4, 0, 0.5)"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--nmax", str(_MAX_POINTS + 1)])
+            assert exc.value.code == 2
+            assert f"--nmax must not exceed {_MAX_POINTS}" \
+                in capsys.readouterr().err
+
+    def test_predict_phase_root_at_large_exponent(self, capsys):
+        # k + alpha = 10: the phase-root integral is ~Gamma(11) in scale
+        code = main(["predict", "--spec", "power(0.4, 8, 2)", "--n", "200"])
+        assert code == 0
+        assert "phase root" in capsys.readouterr().out
+
 
 def _documented_commands():
     import singquad.cli as cli

@@ -11,7 +11,7 @@ from singquad import (GeneralJump, Power, PowerLog, SingularIntegrand,
                       apply_rule, coefficient_bounds, compute_rule,
                       exact_integral, leading_term, log_case_leading,
                       power_case_leading)
-from singquad.error_predictor import _jump_leading
+from singquad.error_predictor import _jump_terms
 
 
 def test_negative_b_envelope_membership():
@@ -50,7 +50,7 @@ def test_general_jump_matches_power_route():
 def test_powerlog_negative_beta_consistency(k, beta):
     f = SingularIntegrand(0.4, PowerLog(k, beta))
     for n in (60, 250):
-        lead = _jump_leading(f, n)
+        lead = _jump_terms(f, [n])[0]
         red = log_case_leading(f, n)
         if abs(lead) > 1e-14:
             assert abs(red - lead) / abs(lead) <= 1e-8
@@ -93,7 +93,7 @@ def test_corrected_quadrature_negative_b():
 def test_small_alpha_predictor_still_converges():
     # sigma = 0.05 stresses the graded substitution near y = 0
     f = SingularIntegrand(0.2, Power(0, 0.05))
-    v = _jump_leading(f, 80)
+    v = _jump_terms(f, [80])[0]
     assert np.isfinite(v)
     red = power_case_leading(f, 80)
     assert v == pytest.approx(red, rel=1e-7)
