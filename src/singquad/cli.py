@@ -30,8 +30,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .error_predictor import (leading_term, predicted_order, psi0_solve,
-                              recommend_n)
+from .error_predictor import (_MIN_N, leading_term, predicted_order,
+                              psi0_solve, recommend_n)
 from .experiments import (SweepConfig, envelope_violations,
                           example_integrand, report, run_sweep, write_csv)
 from .gauss_rule import _MAX_POINTS
@@ -85,7 +85,7 @@ def _int_at_least(low: int):
     return parse
 
 
-_size = _int_at_least(10)   # leading_term, recommend_n and sweeps need n >= 10
+_size = _int_at_least(_MIN_N)   # leading_term, recommend_n and sweeps
 
 
 def _spec(text: str):
@@ -96,7 +96,7 @@ def _spec(text: str):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nmin", type=_size, default=10)
+    p.add_argument("--nmin", type=_size, default=_MIN_N)
     p.add_argument("--nmax", type=_size, default=600)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--check", action="store_true",

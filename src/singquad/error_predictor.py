@@ -22,18 +22,20 @@ on one grid, and psi0_solve bisects on one.
 _kernel_parts(y, sin_phi) is the only place the kernel's x-dependence is
 written, in expm1/sinh^2 form; both routes add cp1 = 1 + cos Psi, which
 PhaseInfo carries as 2 cos^2(Psi/2), so that neither cancels as
-cos Psi -> -1.  The complex kernel
-(sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi) is -(2/pi) Q_n/P_n
-at z = b + iy/n, where the uniform Legendre asymptotics give
-Q_n/P_n = -i pi / (e^(x + i Psi) + 1); tests/paper_asymptotics.py
+cos Psi -> -1, and the odd-k bound takes sinh x as the difference
+(cosh x - 1) - (e^-x - 1) of its two nonnegative parts.  The complex
+kernel (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi) is
+-(2/pi) Q_n/P_n at z = b + iy/n, where the uniform Legendre asymptotics
+give Q_n/P_n = -i pi / (e^(x + i Psi) + 1); tests/paper_asymptotics.py
 builds Q_n/P_n from _kernel_parts, and TestQPRatio checks it against
 exact Q_n/P_n.
 
-_graded(y_max, sigma) is the only quadrature rule (_grid applies it to
-the leading terms, _integrate to the odd-k envelope integrals): 60
-panels with the nodes of compute_rule(32), built at import and graded
-toward y = 0, where the integrand behaves like y^sigma (and like
-y^(sigma-1) at cos Psi = -1).  The substitution y = y_max u^p,
+_graded(y_max, sigma) with _sums is the only quadrature rule (_grid
+applies it on the reach; the odd-k power-log bound also applies it on
+[0, min(1, y_max)], below the kink of |log y| at y = 1): 60 panels
+with the nodes of compute_rule(32), built at import and graded toward
+y = 0, where the integrand behaves like y^sigma (and like y^(sigma-1)
+at cos Psi = -1 and in the odd-k bound).  The substitution y = y_max u^p,
 p = min(8, max(1, 2/sigma)), flattens that endpoint so each panel sees
 an analytic integrand and the dropped stub is negligible (away from
 cos Psi = -1, sigma < 1/4 stays within 1e-13 of the closed form; a cap
@@ -52,8 +54,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gauss_rule import compute_rule
-from .singularity_model import (Power, PowerLog, SingularIntegrand, jump,
-                                phase)
+from .singularity_model import (Power, PowerLog, SingularIntegrand,
+                                _jump_coefficients, jump, phase)
 from .special_functions import zeta_fn
 
 __all__ = [
@@ -72,6 +74,7 @@ __all__ = [
 ]
 
 _REACH = 34.0   # every leading term: y in [0, sin phi (34 + 3 sigma)]
+_MIN_N = 10     # the smallest size any prediction or sweep takes
 
 
 @dataclass(frozen=True)
@@ -143,13 +146,6 @@ def _sums(w: np.ndarray, vals: np.ndarray):
     return float(np.dot(w, vals)), float(np.dot(w[:_HEAD], vals[:_HEAD]))
 
 
-def _integrate(g, y_max: float, sigma: float):
-    """(int_0^y_max g, the same over the outer half of the panels) on the
-    graded rule."""
-    y, w = _graded(y_max, sigma)
-    return _sums(w, g(y))
-
-
 class _Grid(NamedTuple):
     """The n- and Psi-free parts of the integrand at one (sigma, sin phi)."""
 
@@ -195,9 +191,9 @@ def leading_term(f: SingularIntegrand, n: int) -> float:
 def _leading_terms(f: SingularIntegrand, ns) -> list[float]:
     """[leading_term(f, n) for n in ns], with one grid for all n."""
     for n in ns:
-        if not isinstance(n, numbers.Integral) or n < 10:
+        if not isinstance(n, numbers.Integral) or n < _MIN_N:
             raise ValueError(
-                f"leading_term needs an integer n >= 10, got {n!r}")
+                f"leading_term needs an integer n >= {_MIN_N}, got {n!r}")
     if f.envelope is None and isinstance(f.family, (Power, PowerLog)):
         return _reduced_terms(f, ns)
     return _jump_terms(f, ns)
@@ -224,33 +220,26 @@ def _parity_sign(k: int) -> float:
 
 def _reduced_terms(f: SingularIntegrand, ns) -> list[float]:
     """sign * scale * _reduced / n^(sigma+1) at f's phase for each n, on
-    one grid; power-log carries the bracket a (log y - log n) + b."""
+    one grid; power-log carries the bracket a (log y - log n) + c of
+    _jump_coefficients, and power scales by its c."""
     if f.envelope is not None:
         raise TypeError("parity reduction does not cover envelopes")
     fam, sigma = f.family, f.singular_exponent
     grid = _grid(sigma, math.sin(f.phi))
     ys = grid.y ** sigma
+    a, c = _jump_coefficients(fam)
     if isinstance(fam, Power):
-        scale = 2.0 * math.sin(fam.alpha * math.pi / 2)
-
-        def factor(n):
-            return ys
+        scale, factor = c, lambda n: ys
     else:
-        scale = 1.0
-        a = 2.0 * math.sin(fam.beta * math.pi / 2)
-        b = math.pi * math.sin((fam.beta + 1.0) * math.pi / 2)
         logy = np.log(grid.y)
-
-        def factor(n):
-            return ys * (a * (logy - math.log(n)) + b)
-
-    c, odd = _parity_sign(fam.k) * scale, fam.k % 2 == 1
+        scale, factor = 1.0, lambda n: ys * (a * (logy - math.log(n)) + c)
+    scale, odd = _parity_sign(fam.k) * scale, fam.k % 2 == 1
     out = []
     for n in ns:
         info = phase(f, n)
         total, head = _reduced(grid, odd, info.cp1, info.sin_psi, factor(n))
         d = n ** (sigma + 1.0)
-        out.append(_checked(c * total / d, c * head / d))
+        out.append(_checked(scale * total / d, scale * head / d))
     return out
 
 
@@ -292,7 +281,8 @@ def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
         raise TypeError("coefficient_bounds requires a Power family")
     s = fam.k + fam.alpha
     sin_phi = math.sin(f.phi)
-    base = (math.sin(fam.alpha * math.pi / 2) * sin_phi ** (s + 1.0)
+    half_c = 0.5 * _jump_coefficients(fam)[1]   # sin(alpha pi/2)
+    base = (half_c * sin_phi ** (s + 1.0)
             * math.gamma(s + 1.0) / 2.0 ** (s - 1.0) * zeta_fn(s + 1.0))
     if fam.k % 2 == 0:
         hi, lo = base, -(1.0 - 2.0 ** -s) * base
@@ -317,39 +307,35 @@ def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
         raise TypeError("log_envelope_constants requires a PowerLog family")
     sp = math.sin(f.phi)
     sigma = fam.k + fam.beta
-    s_beta = math.sin(fam.beta * math.pi / 2)
-    s_beta1 = math.sin((fam.beta + 1.0) * math.pi / 2)
+    a, c = _jump_coefficients(fam)
     sign = _parity_sign(fam.k)
+    grid = _grid(sigma, sp)
+    ys = grid.y ** sigma
+    ys_log = ys * np.log(grid.y)
 
     if fam.k % 2 == 0:
-        grid = _grid(sigma, sp)
-        ys = grid.y ** sigma
-        ys_log = ys * np.log(grid.y)
-
         def at(cp1: float):
             base = _reduced(grid, False, cp1, 0.0, ys)[0]
             base_log = _reduced(grid, False, cp1, 0.0, ys_log)[0]
-            # scaled = sign * [2 s_beta (log y - log n) + pi s_beta1] * kernel
-            a = -sign * 2.0 * s_beta * base
-            b = sign * (2.0 * s_beta * base_log + math.pi * s_beta1 * base)
-            return a, b
+            # scaled = sign * [a (log y - log n) + c] * kernel
+            return -sign * a * base, sign * (a * base_log + c * base)
 
         # cos Psi = +1 and -1; upper has the larger A (log n dominates
         # eventually), or the larger B where A ties (beta = 0)
         lower, upper = sorted([at(2.0), at(0.0)])
         return LogEnvelope(upper=upper, lower=lower, attained=True)
 
-    def bound(factor, y_max):
-        return _integrate(lambda y: y ** sigma * factor(y)
-                          / np.sinh(2.0 * y / sp), y_max, sigma)[0]
-
-    y_max = sp * (_REACH + 3.0 * sigma)
-    base = bound(np.ones_like, y_max)
+    # 1/sinh x = 1/((cosh x - 1) - (e^-x - 1)), two nonnegative terms
+    sinh = grid.sh2 - grid.em1
+    base = _sums(grid.w, ys / sinh)[0]
     # |log y| has a kink at y = 1 inside a panel: integrate log y, then
-    # flip the sign of the part below y = 1
-    base_log = bound(np.log, y_max) - 2.0 * bound(np.log, min(1.0, y_max))
-    a_sym = abs(2.0 * s_beta) * base
-    b_sym = math.pi * abs(s_beta1) * base + abs(2.0 * s_beta) * base_log
+    # flip the sign of the part below y = 1 on a rule of its own
+    y, w = _graded(min(1.0, sp * (_REACH + 3.0 * sigma)), sigma)
+    em1, sh2 = _kernel_parts(y, sp)
+    base_log = (_sums(grid.w, ys_log / sinh)[0]
+                - 2.0 * _sums(w, y ** sigma * np.log(y) / (sh2 - em1))[0])
+    a_sym = abs(a) * base
+    b_sym = abs(c) * base + abs(a) * base_log
     return LogEnvelope(upper=(a_sym, b_sym), lower=(-a_sym, -b_sym),
                        attained=False)
 
@@ -406,13 +392,17 @@ def recommend_n(f: SingularIntegrand, n_min: int, n_max: int) -> list[int]:
     k = 1, 3 (mod 4) it favors cos((2n+1) phi) near 0.
     """
     if not (isinstance(n_min, numbers.Integral)
-            and isinstance(n_max, numbers.Integral) and 10 <= n_min <= n_max):
-        raise ValueError("need integers 10 <= n_min <= n_max")
+            and isinstance(n_max, numbers.Integral)
+            and _MIN_N <= n_min <= n_max):
+        raise ValueError(f"need integers {_MIN_N} <= n_min <= n_max")
     sizes = list(range(n_min, n_max + 1))
-    expo = f.singular_exponent + 1.0
-    ranked = sorted((abs(lead * n ** expo), n)
-                    for n, lead in zip(sizes, _leading_terms(f, sizes)))
-    return [n for _, n in ranked]
+    return _ranked(sizes, _leading_terms(f, sizes), f.singular_exponent)
+
+
+def _ranked(sizes, leads, sigma: float) -> list[int]:
+    """sizes by ascending |lead n^(sigma+1)|, ties smaller n first."""
+    return [n for _, n in sorted((abs(lead * n ** (sigma + 1.0)), n)
+                                 for n, lead in zip(sizes, leads))]
 
 
 def predicted_order(f: SingularIntegrand) -> ErrorPrediction:

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_predictor import _leading_terms, coefficient_bounds, recommend_n
+from .error_predictor import (_MIN_N, _leading_terms, _ranked,
+                              coefficient_bounds)
 from .gauss_rule import apply_rule, compute_rule, compute_rules
 from .reference_oracle import exact_integral
 from .singularity_model import (Power, PowerLog, SingularIntegrand,
@@ -50,14 +51,14 @@ class ExperimentRecord:
 @dataclass(frozen=True)
 class SweepConfig:
     integrand: SingularIntegrand
-    n_min: int = 10
+    n_min: int = _MIN_N
     n_max: int = 600
 
     def __post_init__(self):
         if not (all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
                     for n in (self.n_min, self.n_max))
-                and 10 <= self.n_min < self.n_max):
-            raise ValueError("need integers 10 <= n_min < n_max")
+                and _MIN_N <= self.n_min < self.n_max):
+            raise ValueError(f"need integers {_MIN_N} <= n_min < n_max")
 
 
 def example_integrand(example_id: int, alpha: float = 0.5, k: int = 0,
@@ -202,6 +203,8 @@ def report(records: list[ExperimentRecord], cfg: SweepConfig) -> str:
         lines.append(f"{floored} records at the machine-accuracy floor "
                      "(excluded from slope fits)")
     if isinstance(f.family, (Power, PowerLog)) and f.envelope is None:
-        best = recommend_n(f, cfg.n_min, min(cfg.n_max, cfg.n_min + 99))[:5]
+        head = records[:100]   # run_sweep's sizes, ascending from n_min
+        best = _ranked([r.n for r in head], [r.predicted for r in head],
+                       sigma)[:5]
         lines.append(f"recommended n (first 100 sizes of the range): {best}")
     return "\n".join(lines) + "\n"

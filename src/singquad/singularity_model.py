@@ -160,28 +160,31 @@ def gauss_envelope(b: float):
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
+def _jump_coefficients(family) -> tuple[float, float]:
+    """(a, c) with [f](b + iy/n) = i^(k+1) (y/n)^sigma (a log(y/n) + c)
+    without an envelope: (0, 2 sin(alpha pi/2)) for Power and
+    (2 sin(beta pi/2), pi sin((beta+1) pi/2)) for PowerLog."""
+    if isinstance(family, Power):
+        return 0.0, 2.0 * math.sin(family.alpha * math.pi / 2)
+    return (2.0 * math.sin(family.beta * math.pi / 2),
+            math.pi * math.sin((family.beta + 1.0) * math.pi / 2))
+
+
 def jump(f: SingularIntegrand, y, n: int):
     """[f](b + iy/n): difference across the branch cut for y > 0.
 
-    Power:    2 i^{k+1} sin(alpha pi/2) (y/n)^{k+alpha}
-    PowerLog: i^{k+1} (y/n)^{k+beta} [2 sin(beta pi/2) log(y/n)
-                                      + pi sin((beta+1) pi/2)]
-    The envelope contributes the factor e(b + iy/n).
-    Accepts scalar y or a numpy array.
+    Power and PowerLog as in _jump_coefficients; the envelope contributes
+    the factor e(b + iy/n).  Accepts scalar y or a numpy array.
     """
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0.0):
         raise ValueError("jump is defined for y > 0")
     fam = f.family
-    if isinstance(fam, Power):
-        ik1 = _QUARTER_TURNS[(fam.k + 1) % 4]
-        out = (2.0 * ik1 * math.sin(fam.alpha * math.pi / 2)
-               * (y_arr / n) ** (fam.k + fam.alpha))
-    elif isinstance(fam, PowerLog):
-        ik1 = _QUARTER_TURNS[(fam.k + 1) % 4]
-        bracket = (2.0 * math.sin(fam.beta * math.pi / 2) * np.log(y_arr / n)
-                   + math.pi * math.sin((fam.beta + 1.0) * math.pi / 2))
-        out = ik1 * (y_arr / n) ** (fam.k + fam.beta) * bracket
+    if isinstance(fam, (Power, PowerLog)):
+        a, c = _jump_coefficients(fam)
+        t = y_arr / n
+        out = (_QUARTER_TURNS[(fam.k + 1) % 4] * t ** f.singular_exponent
+               * (a * np.log(t) + c))
     else:
         out = np.asarray(fam.jump_eval(y_arr, n), dtype=complex)
     if f.envelope is not None:

@@ -9,8 +9,8 @@ from singquad import (GeneralJump, Power, PowerLog, SingularIntegrand, apply_rul
                       leading_term, log_case_leading, log_envelope_constants,
                       power_case_leading, predicted_order, psi0_solve,
                       recommend_n, zeta_fn)
-from singquad.error_predictor import (_REACH, _integrate, _jump_terms,
-                                      _kernel_parts, psi0_residual)
+from singquad.error_predictor import (_REACH, _graded, _jump_terms,
+                                      _kernel_parts, _sums, psi0_residual)
 from singquad.singularity_model import phase
 
 
@@ -144,13 +144,13 @@ class TestCoefficientBounds:
         f = power(0.4, 0, 0.5)
         cb = coefficient_bounds(f)
         sphi = math.sin(math.acos(0.4))
+        y, w = _graded(40.0, 0.5)
+        em1, sh2 = _kernel_parts(y, sphi)
         vals = []
         for cpsi in np.concatenate([[-1 + 1e-13],
                                     np.linspace(-0.95, 1.0, 40)]):
-            def g(y):
-                em1, sh2 = _kernel_parts(y, sphi)
-                return y ** 0.5 * (em1 + 1.0 + cpsi) / (sh2 + 1.0 + cpsi)
-            integral, _ = _integrate(g, 40.0, 0.5)
+            g = y ** 0.5 * (em1 + 1.0 + cpsi) / (sh2 + 1.0 + cpsi)
+            integral, _ = _sums(w, g)
             vals.append(-2.0 * math.sin(math.pi / 4) * integral)
         assert max(vals) == pytest.approx(cb.upper, rel=5e-3)
         assert min(vals) == pytest.approx(cb.lower, rel=5e-3)
@@ -211,7 +211,10 @@ class TestLogCase:
         assert a_sym == pytest.approx(0.0, abs=1e-12)
         assert b_sym == pytest.approx(1.628, abs=0.01)
 
-    @pytest.mark.parametrize("b,k,beta", [(-0.7, 1, 0.5), (0.4, 3, 0.9)])
+    # the last two have sin phi (34 + 3 sigma) < 1: the kink piece below
+    # y = 1 covers the whole reach
+    @pytest.mark.parametrize("b,k,beta", [(-0.7, 1, 0.5), (0.4, 3, 0.9),
+                                          (0.9999, 1, 0.5), (-0.9999, 1, 1.0)])
     def test_odd_log_envelope_against_mpmath(self, b, k, beta):
         # strict bound A = |2 s_beta| I_0, B = pi |s_beta1| I_0 + |2 s_beta| I_1
         # with I_j = int y^(k+beta) |log y|^j / sinh(2y/sin phi) dy
@@ -397,6 +400,9 @@ class TestPinnedBits:
     power round differently under AVX2 dispatch or in another release,
     which moves some of these bits with no change in the program."""
 
+    # the ids name the call, the input (+env: the gauss envelope;
+    # 0.866: cos(pi/6)) and n, not the pin, so that a declared re-take
+    # keeps the test's name
     @pytest.mark.parametrize("func,f,n,expected", [
         (leading_term, power(0.4, 0, 0.5), 57, "-0x1.66cf109b86418p-10"),
         (leading_term, power(-0.3, 3, 0.25), 1999, "0x1.77539a53da8f9p-49"),
@@ -412,7 +418,15 @@ class TestPinnedBits:
         (log_case_leading, powerlog(0.4, 1, 0.0), 75, "0x1.d42c680a01037p-13"),
         (log_case_leading, powerlog(0.2, 2, -0.25), 600,
          "-0x1.b32d0e63c6fbdp-24"),
-    ])
+    ], ids=["leading_term-power(0.4,0,0.5)-57",
+            "leading_term-power(-0.3,3,0.25)-1999",
+            "leading_term-power(0.4,0,1)+env-150",
+            "leading_term-powerlog(0.4,0,1)-600",
+            "leading_term-general_sqrt(0.2)-150",
+            "power_case-power(0.866,1,0.5)-150",
+            "power_case-power(0.4,1,-0.5)-57",
+            "log_case-powerlog(0.4,1,0)-75",
+            "log_case-powerlog(0.2,2,-0.25)-600"])
     def test_leading_routes(self, func, f, n, expected):
         assert func(f, n).hex() == expected
 
