@@ -18,6 +18,5 @@ from .reference_oracle import (ExactIntegral, exact_integral,
 from .singularity_model import (GeneralJump, PhaseInfo, Power, PowerLog,
                                 SingularIntegrand, gauss_envelope, jump,
                                 parse_integrand, phase)
-from .special_functions import zeta_fn
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ Envelopes and general jumps take the jump route: Re of the jump of f
 across the cut times the complex kernel.  All else is _reduced, the
 parity-reduced integral of y^(k+alpha) (times the log bracket for
 power-log) against the even kernel for even k and the odd one for odd
-k: the Power and PowerLog leading terms, the power-log envelopes and,
-at sin phi = 2 (x = y), the phase root.  Both routes depend on n and
+k: the Power and PowerLog leading terms, the envelopes of both families
+(one body, _envelope_lines, at cos Psi = +/-1) and, at sin phi = 2
+(x = y), the phase root.  Both routes depend on n and
 Psi only through cos Psi, sin Psi and the jump or the bracket, so the
 rest (weights, e^-x - 1, cosh x - 1) is built once per (sigma, sin phi)
 by _grid, and each size forms only the rational kernel and two dot
@@ -34,14 +35,18 @@ _graded(y_max, sigma) with _sums is the only quadrature rule (_grid
 applies it on the reach; the odd-k power-log bound also applies it on
 [0, min(1, y_max)], below the kink of |log y| at y = 1): 60 panels
 with the nodes of compute_rule(32), built at import and graded toward
-y = 0, where the integrand behaves like y^sigma (and like y^(sigma-1)
-at cos Psi = -1 and in the odd-k bound).  The substitution y = y_max u^p,
-p = min(8, max(1, 2/sigma)), flattens that endpoint so each panel sees
-an analytic integrand and the dropped stub is negligible (away from
+y = 0, where the integrand behaves like y^sigma.  The substitution
+y = y_max u^p, p = min(8, max(1, 2/sigma)), flattens that endpoint so
+each panel sees an analytic integrand and the dropped stub below the
+lowest panel edge y0 = y_max 2^(-58 p) is negligible (away from
 cos Psi = -1, sigma < 1/4 stays within 1e-13 of the closed form; a cap
-of 16 lost up to 6e-7).  _sums also returns the sum over the outer
-half of the panels; both leading-term routes reject a value that is not
-finite or whose inner half, nearest y = 0, changes it by more than 1e-3.
+of 16 lost up to 6e-7).  At cos Psi = -1 and in the odd-k bound the
+integrand goes like C y^(sigma-1) instead, and the stub is not
+negligible for small sigma: the envelopes add it as C times _head, the
+analytic integral of y^(sigma-1) (or y^(sigma-1) log y) over [0, y0].
+_sums also returns the sum over the outer half of the panels; both
+leading-term routes reject a value that is not finite or whose inner
+half, nearest y = 0, changes it by more than 1e-3.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ import numpy as np
 from .gauss_rule import compute_rule
 from .singularity_model import (Power, PowerLog, SingularIntegrand,
                                 _jump_coefficients, jump, phase)
-from .special_functions import zeta_fn
 
 __all__ = [
     "ErrorPrediction",
@@ -68,13 +72,13 @@ __all__ = [
     "coefficient_bounds",
     "log_envelope_constants",
     "psi0_solve",
-    "psi0_residual",
     "recommend_n",
     "predicted_order",
 ]
 
 _REACH = 34.0   # every leading term: y in [0, sin phi (34 + 3 sigma)]
 _MIN_N = 10     # the smallest size any prediction or sweep takes
+_OCTAVES = 58   # the graded rule's lowest panel edge is u = 2^-58
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def _unit_panels():
     # ones halved, since y = y_max u^p crowds the kernel's decay near u = 1
     rule = compute_rule(32)
     edges = 0.5 ** np.concatenate([np.arange(0.0, 2.0, 0.5),
-                                   np.arange(2.0, 59.0)])
+                                   np.arange(2.0, _OCTAVES + 1.0)])
     hi, lo = edges[:-1, None], edges[1:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     u = (mid + half * rule.nodes).ravel()
@@ -134,11 +138,23 @@ _U, _WU = _unit_panels()
 _HEAD = len(_U) // 2
 
 
+def _grading(sigma: float) -> float:
+    """The exponent p of y = y_max u^p for an integrand like y^sigma."""
+    return min(8.0, max(1.0, 2.0 / sigma))
+
+
 def _graded(y_max: float, sigma: float):
-    """Nodes and weights of the graded rule on [0, y_max]; sigma sets the
-    grading exponent p."""
-    p = min(8.0, max(1.0, 2.0 / sigma))
+    """Nodes and weights of the graded rule on [0, y_max]."""
+    p = _grading(sigma)
     return y_max * _U ** p, _WU * y_max * p * _U ** (p - 1.0)
+
+
+def _head(y_max: float, sigma: float):
+    """int_0^y0 y^(sigma-1) dy and int_0^y0 y^(sigma-1) log y dy below the
+    lowest panel edge y0 = y_max 2^(-58 p) of _graded(y_max, sigma)."""
+    y0 = y_max * 0.5 ** (_OCTAVES * _grading(sigma))
+    h0 = y0 ** sigma / sigma
+    return h0, h0 * (math.log(y0) - 1.0 / sigma)
 
 
 def _sums(w: np.ndarray, vals: np.ndarray):
@@ -266,92 +282,102 @@ def log_case_leading(f: SingularIntegrand, n: int) -> float:
     return _reduced_terms(f, [n])[0]
 
 
+def _envelope_lines(f: SingularIntegrand):
+    """(lower, upper, attained): lines (A, B) of A log n + B enclosing the
+    scaled coefficient n^(sigma+1) R_n of a Power (A = 0) or PowerLog
+    family, whose bracket is a (log y - log n) + c of _jump_coefficients.
+
+    k = 0, 2 (mod 4): the reduced integral at cos Psi = +1 and -1,
+    attained along subsequences; upper has the larger A (log n dominates
+    eventually), or the larger B where A ties.  k = 1, 3 (mod 4): the
+    strict symmetric bound from |sin Psi / (cosh x + cos Psi)| <= 1/sinh x.
+    Where the integrand goes like C y^(sigma-1) at y = 0 (the even kernel
+    at cos Psi = -1, C = -sin phi; 1/sinh x, C = sin phi / 2) the rule
+    adds C times the analytic integral below its lowest panel edge.
+    """
+    fam = f.family
+    sigma, sp = f.singular_exponent, math.sin(f.phi)
+    a, c = _jump_coefficients(fam)
+    sign = _parity_sign(fam.k)
+    y_max = sp * (_REACH + 3.0 * sigma)
+    h0, h1 = _head(y_max, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cosh x - 1 overflows far out, where the kernel's share is 0
+        grid = _grid(sigma, sp)
+        ys = grid.y ** sigma
+        ys_log = ys * np.log(grid.y) if a else None   # no log for Power
+        if fam.k % 2 == 0:
+            def at(cp1: float, head: float):
+                base = _reduced(grid, False, cp1, 0.0, ys)[0] + head * h0
+                base_log = (_reduced(grid, False, cp1, 0.0, ys_log)[0]
+                            + head * h1) if a else 0.0
+                # scaled = sign * [a (log y - log n) + c] * kernel
+                return -sign * a * base, sign * (a * base_log + c * base)
+
+            lower, upper = sorted([at(2.0, 0.0), at(0.0, -sp)])
+        else:
+            # 1/sinh x = 1/((cosh x - 1) - (e^-x - 1)), two nonnegative terms
+            sinh = grid.sh2 - grid.em1
+            base = _sums(grid.w, ys / sinh)[0] + 0.5 * sp * h0
+            base_log = 0.0
+            if a:
+                # |log y| has a kink at y = 1 inside a panel: integrate
+                # log y, then flip the sign of the part below y = 1 on a
+                # rule of its own
+                y_kink = min(1.0, y_max)
+                y, w = _graded(y_kink, sigma)
+                em1, sh2 = _kernel_parts(y, sp)
+                below = (_sums(w, y ** sigma * np.log(y) / (sh2 - em1))[0]
+                         + 0.5 * sp * _head(y_kink, sigma)[1])
+                base_log = (_sums(grid.w, ys_log / sinh)[0] + 0.5 * sp * h1
+                            - 2.0 * below)
+            a_sym = abs(a) * base
+            b_sym = abs(c) * base + abs(a) * base_log
+            lower, upper = (-a_sym, -b_sym), (a_sym, b_sym)
+    if not all(map(math.isfinite, lower + upper)):
+        raise ValueError(f"envelope lines overflow at sigma = {sigma}")
+    return lower, upper, fam.k % 2 == 0
+
+
 def coefficient_bounds(f: SingularIntegrand) -> CoefficientBounds:
-    """Closed-form envelope of n^(k+alpha+1) R_n for the power family.
+    """Envelope of n^(k+alpha+1) R_n for the power family: the B's of
+    _envelope_lines (A = 0), which compute on the grid the closed forms
 
     k = 0, 2 (mod 4): the one-sided extremes
         U = sin(alpha pi/2) (sin phi)^(s+1) Gamma(s+1) zeta(s+1) / 2^(s-1),
         L = -(1 - 2^-s) U,  s = k + alpha,
     attained along subsequences with cos Psi -> -1 / +1 (roles swap for
-    k = 2 mod 4).  k = 1, 3 (mod 4): the strict symmetric bound carrying
-    (1 - 2^-(s+1)), which the oscillating coefficient never reaches.
+    k = 2 mod 4).  k = 1, 3 (mod 4): the strict symmetric bound
+    |U| (1 - 2^-(s+1)), which the oscillating coefficient never reaches.
     """
-    fam = f.family
-    if not isinstance(fam, Power):
+    if not isinstance(f.family, Power):
         raise TypeError("coefficient_bounds requires a Power family")
-    s = fam.k + fam.alpha
-    sin_phi = math.sin(f.phi)
-    half_c = 0.5 * _jump_coefficients(fam)[1]   # sin(alpha pi/2)
-    base = (half_c * sin_phi ** (s + 1.0)
-            * math.gamma(s + 1.0) / 2.0 ** (s - 1.0) * zeta_fn(s + 1.0))
-    if fam.k % 2 == 0:
-        hi, lo = base, -(1.0 - 2.0 ** -s) * base
-        if fam.k % 4 == 2:
-            hi, lo = -lo, -hi
-        return CoefficientBounds(lower=min(lo, hi), upper=max(lo, hi),
-                                 attained=True)
-    w = abs(base) * (1.0 - 2.0 ** -(s + 1.0))
-    return CoefficientBounds(lower=-w, upper=w, attained=False)
+    lower, upper, attained = _envelope_lines(f)
+    return CoefficientBounds(lower=lower[1], upper=upper[1],
+                             attained=attained)
 
 
 def log_envelope_constants(f: SingularIntegrand) -> LogEnvelope:
     """Affine envelopes A log n + B of n^(k+beta+1) R_n for power-log
-    integrands.
+    integrands, from _envelope_lines.
 
     k = 0, 2 (mod 4): attained envelopes from cos Psi = +/-1.
     k = 1, 3 (mod 4): strict symmetric bound from |sin Psi kernel| <=
     1/sinh; for beta = 0 this is the constant pi int y^k / sinh dy.
     """
-    fam = f.family
-    if not isinstance(fam, PowerLog):
+    if not isinstance(f.family, PowerLog):
         raise TypeError("log_envelope_constants requires a PowerLog family")
-    sp = math.sin(f.phi)
-    sigma = fam.k + fam.beta
-    a, c = _jump_coefficients(fam)
-    sign = _parity_sign(fam.k)
-    grid = _grid(sigma, sp)
-    ys = grid.y ** sigma
-    ys_log = ys * np.log(grid.y)
-
-    if fam.k % 2 == 0:
-        def at(cp1: float):
-            base = _reduced(grid, False, cp1, 0.0, ys)[0]
-            base_log = _reduced(grid, False, cp1, 0.0, ys_log)[0]
-            # scaled = sign * [a (log y - log n) + c] * kernel
-            return -sign * a * base, sign * (a * base_log + c * base)
-
-        # cos Psi = +1 and -1; upper has the larger A (log n dominates
-        # eventually), or the larger B where A ties (beta = 0)
-        lower, upper = sorted([at(2.0), at(0.0)])
-        return LogEnvelope(upper=upper, lower=lower, attained=True)
-
-    # 1/sinh x = 1/((cosh x - 1) - (e^-x - 1)), two nonnegative terms
-    sinh = grid.sh2 - grid.em1
-    base = _sums(grid.w, ys / sinh)[0]
-    # |log y| has a kink at y = 1 inside a panel: integrate log y, then
-    # flip the sign of the part below y = 1 on a rule of its own
-    y, w = _graded(min(1.0, sp * (_REACH + 3.0 * sigma)), sigma)
-    em1, sh2 = _kernel_parts(y, sp)
-    base_log = (_sums(grid.w, ys_log / sinh)[0]
-                - 2.0 * _sums(w, y ** sigma * np.log(y) / (sh2 - em1))[0])
-    a_sym = abs(a) * base
-    b_sym = abs(c) * base + abs(a) * base_log
-    return LogEnvelope(upper=(a_sym, b_sym), lower=(-a_sym, -b_sym),
-                       attained=False)
+    lower, upper, attained = _envelope_lines(f)
+    return LogEnvelope(upper=upper, lower=lower, attained=attained)
 
 
 def _psi0_integral(k: int, alpha: float):
-    # c -> psi0_residual(k, alpha, c) on one grid: the even kernel (k = 0)
-    # at sin phi = 2, where x = 2y/2 = y exactly
+    # c -> int_0^inf x^(k+alpha) (e^-x + c)/(cosh x + c) dx on one grid,
+    # whose zero is the phase root: the even kernel (k = 0) at sin phi = 2,
+    # where x = 2y/2 = y exactly
     grid = _grid(k + alpha, 2.0)
     ys = grid.y ** (k + alpha)
     return lambda c: _reduced(grid, False, 1.0 + c, 0.0, ys)[0]
-
-
-def psi0_residual(k: int, alpha: float, cos_psi0: float) -> float:
-    """Value of int_0^inf x^(k+alpha) (e^-x + c)/(cosh x + c) dx at
-    c = cos_psi0; the recommendation root is its zero."""
-    return _psi0_integral(k, alpha)(cos_psi0)
 
 
 def psi0_solve(k: int, alpha: float) -> float:

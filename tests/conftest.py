@@ -1,3 +1,4 @@
+import numpy
 import pytest
 
 from singquad import SweepConfig, example_integrand, run_sweep
@@ -20,3 +21,28 @@ def sweep():
         key = (example_id, tuple(sorted(kw.items())), tuple(sorted(rng.items())))
         return _sweep(key, example_integrand(example_id, **kw), **rng)
     return get
+
+
+def _numpy_dispatch() -> str:
+    """numpy's version and SIMD dispatch: numpy's log, expm1, sinh, exp,
+    power and arcsin round differently per dispatch target, and the
+    pinned bits in these tests depend on that."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [t for t in umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(t)]
+    return (f"numpy {numpy.__version__}: baseline "
+            f"{' '.join(umath.__cpu_baseline__)}; dispatch "
+            f"{' '.join(enabled) or 'none'}")
+
+
+def pytest_report_header(config):
+    return _numpy_dispatch()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q, as the tier-1 command runs, hides the header: print it last
+    if not terminalreporter.showheader:
+        terminalreporter.write_line(_numpy_dispatch())

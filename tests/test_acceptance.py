@@ -15,7 +15,7 @@ from singquad import (Power, PowerLog, SingularIntegrand, apply_rule,
                       fit_envelope_slope, log_envelope_constants,
                       power_case_leading, psi0_solve,
                       split_adaptive_integral)
-from singquad.error_predictor import _jump_terms, psi0_residual
+from singquad.error_predictor import _jump_terms, _psi0_integral
 from singquad.singularity_model import phase
 
 EPS = 2.2e-16
@@ -259,7 +259,7 @@ def test_criterion_9_predictor_self_consistency(sweep):
     consistency_ok = worst <= 1e-8
 
     c0 = psi0_solve(0, 0.5)
-    resid = abs(psi0_residual(0, 0.5, c0))
+    resid = abs(_psi0_integral(0, 0.5)(c0))
 
     records, _ = sweep(1, alpha=0.5)
     by_n = {r.n: r for r in records}

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from singquad import (GeneralJump, Power, PowerLog, SingularIntegrand,
                       SweepConfig, gauss_envelope, leading_term, psi0_solve,
                       recommend_n, run_sweep)
-from singquad.error_predictor import _leading_terms, psi0_residual
+from singquad.error_predictor import _leading_terms, _psi0_integral
 
 
 def _general_jump(b):
@@ -87,11 +87,12 @@ def test_sweep_predicted_is_leading_term(f):
 
 
 def _bisect(k, alpha):
-    # psi0_solve's bisection, written out on the public residual
+    # psi0_solve's bisection, written out on the residual integral
+    value = _psi0_integral(k, alpha)
     lo, hi = -1.0 + 1e-9, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        val = psi0_residual(k, alpha, mid)
+        val = value(mid)
         if abs(val) <= 1e-10:
             return mid
         if val > 0.0:

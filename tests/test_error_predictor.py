@@ -8,9 +8,9 @@ from singquad import (GeneralJump, Power, PowerLog, SingularIntegrand, apply_rul
                       compute_rule, exact_integral, gauss_envelope,
                       leading_term, log_case_leading, log_envelope_constants,
                       power_case_leading, predicted_order, psi0_solve,
-                      recommend_n, zeta_fn)
+                      recommend_n)
 from singquad.error_predictor import (_REACH, _graded, _jump_terms,
-                                      _kernel_parts, _sums, psi0_residual)
+                                      _kernel_parts, _psi0_integral, _sums)
 from singquad.singularity_model import phase
 
 
@@ -127,13 +127,38 @@ class TestParityReduction:
             log_case_leading(power(0.4, 0, 0.5), 100)
 
 
+def _gamma_zeta_bounds(f, mp):
+    """(lower, upper) of coefficient_bounds' closed form in 30 digits:
+    U = sin(alpha pi/2) (sin phi)^(s+1) Gamma(s+1) zeta(s+1) / 2^(s-1),
+    s = k + alpha, with L = -(1 - 2^-s) U (roles swapped for k = 2 mod 4)
+    for even k and +-|U| (1 - 2^-(s+1)) for odd k.  sin phi is taken at
+    f's double phi: near b = -1 the double acos(b) alone puts a relative
+    error of about eps / sin phi into sin phi, before any integral."""
+    k, alpha = f.family.k, f.family.alpha
+    # 30 digits of s + 1 also where s = k + alpha is tiny
+    with mp.workdps(30 + max(0, -math.floor(math.log10(k + alpha)))):
+        a = mp.mpf(alpha)
+        s = k + a
+        sp = mp.sin(mp.mpf(f.phi))
+        u = (mp.sin(a * mp.pi / 2) * sp ** (s + 1) * mp.gamma(s + 1)
+             * mp.zeta(s + 1) / 2 ** (s - 1))
+        if k % 2 == 1:
+            w = abs(u) * (1 - 2 ** -(s + 1))
+            return float(-w), float(w)
+        hi, lo = u, -(1 - 2 ** -s) * u
+        if k % 4 == 2:
+            hi, lo = -lo, -hi
+        return float(min(lo, hi)), float(max(lo, hi))
+
+
 class TestCoefficientBounds:
     def test_k0_alpha05_closed_form(self):
+        mp = pytest.importorskip("mpmath")
         f = power(0.4, 0, 0.5)
         cb = coefficient_bounds(f)
         sphi = math.sin(math.acos(0.4))
         ref = (math.sin(math.pi / 4) * sphi ** 1.5 * math.gamma(1.5)
-               * 2 ** 0.5 * zeta_fn(1.5))
+               * 2 ** 0.5 * float(mp.zeta(1.5)))
         assert cb.upper == pytest.approx(ref, rel=1e-13)
         assert cb.lower == pytest.approx(-(1 - 2 ** -0.5) * ref, rel=1e-13)
         assert cb.attained
@@ -156,13 +181,35 @@ class TestCoefficientBounds:
         assert min(vals) == pytest.approx(cb.lower, rel=5e-3)
 
     def test_strict_flag_for_odd_k(self):
+        mp = pytest.importorskip("mpmath")
         cb = coefficient_bounds(power(0.4, 1, 1.0))
         assert not cb.attained
         assert cb.upper == pytest.approx(-cb.lower, rel=1e-14)
         sphi = math.sin(math.acos(0.4))
         ref = (sphi ** 3 * math.gamma(3.0) / 2.0
-               * (1.0 - 2.0 ** -3) * zeta_fn(3.0))
+               * (1.0 - 2.0 ** -3) * float(mp.zeta(3.0)))
         assert cb.upper == pytest.approx(ref, rel=1e-13)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(b=st.one_of(st.sampled_from([0.0, 0.9999, -0.9999, 1 - 1e-10]),
+                       st.floats(-1.0, 1.0, exclude_min=True,
+                                 exclude_max=True)),
+           k=st.integers(0, 5),
+           alpha=st.one_of(st.sampled_from([-0.999, 0.001, 0.02, 1.9]),
+                           st.floats(-1.0, 1.9, exclude_min=True,
+                                     allow_subnormal=False)))
+    def test_against_gamma_zeta(self, b, k, alpha):
+        # the grid, with the y^(sigma-1) head at cos Psi = -1 and in the
+        # 1/sinh bound, against the closed form the docstring states
+        mp = pytest.importorskip("mpmath")
+        assume(alpha != 0.0 and k + alpha > 0.0)
+        f = power(b, k, alpha)
+        cb = coefficient_bounds(f)
+        lo, hi = _gamma_zeta_bounds(f, mp)
+        assume(max(abs(lo), abs(hi)) > 1e-280)   # far from subnormals
+        assert cb.attained == (k % 2 == 0)
+        tol = 1e-14 * max(abs(lo), abs(hi))
+        assert abs(cb.lower - lo) <= tol and abs(cb.upper - hi) <= tol
 
     def test_negative_alpha_ordering(self):
         cb = coefficient_bounds(power(0.4, 1, -0.5))
@@ -183,6 +230,91 @@ class TestCoefficientBounds:
             for n in range(40, 400, 7):
                 scaled = power_case_leading(f, n) * n ** (k + alpha + 1.0)
                 assert abs(scaled) < cb.upper
+
+
+def _log_envelope_reference(b, k, beta, mp):
+    """(lower, upper) lines (A, B) of log_envelope_constants in 30 digits.
+
+    With a = 2 sin(beta pi/2), c = pi sin((beta+1) pi/2), sigma = k + beta
+    and I_j = int_0^inf y^sigma L(y)^j K(y) dy: for odd k, K = 1/sinh x
+    with x = 2y/sin phi and L = |log y|, the lines are +-(|a| I_0,
+    |c| I_0 + |a| I_1); for even k, K is the even kernel at cos Psi = +1,
+    1 - tanh(x/2), or at cos Psi = -1, 1 - coth(x/2), L = log y, and each
+    gives (-s a I_0, s (a I_1 + c I_0)), s = -1 for k = 0 (mod 4) and +1
+    for k = 2 (mod 4).  [0, 1e-6] is integrated from the
+    series head of K, since 1/sinh x and 1 - coth(x/2) go like 1/y there
+    and a plain mp.quad from 0 misses that y^(sigma-1) mass.
+    """
+    with mp.workdps(30):
+        sp, sigma = mp.sin(mp.acos(b)), k + mp.mpf(beta)
+        d = mp.mpf("1e-6")
+        cuts = sorted({d, mp.mpf("1e-4"), mp.mpf("1e-2"), sp / 8, sp / 2,
+                       sp, mp.mpf(1), 4 * sp, 16 * sp, 80 * sp})
+        cuts = [y for y in cuts if y >= d]
+        absolute = k % 2 == 1
+
+        def log(y):
+            return abs(mp.log(y)) if absolute else mp.log(y)
+
+        def integral(kern, head, j):
+            # head: (coefficient, power) terms of K's series at y = 0, with
+            # int_0^d y^(e-1) log y dy = d^e (log d / e - 1 / e^2)
+            total = mp.quad(lambda y: y ** sigma * log(y) ** j * kern(y),
+                            cuts)
+            for coef, power in head:
+                e = sigma + power + 1
+                m = d ** e * ((mp.log(d) / e - 1 / e ** 2) if j else 1 / e)
+                total += coef * (-m if absolute and j else m)
+            return total
+
+        a = 2 * mp.sin(beta * mp.pi / 2)
+        c = mp.pi * mp.sin((beta + 1) * mp.pi / 2)
+        if absolute:
+            i0, i1 = (integral(lambda y: 1 / mp.sinh(2 * y / sp),
+                               [(sp / 2, -1), (-1 / (3 * sp), 1)], j)
+                      for j in (0, 1))
+            a_sym, b_sym = float(abs(a) * i0), float(abs(c) * i0
+                                                     + abs(a) * i1)
+            return (-a_sym, -b_sym), (a_sym, b_sym)
+        sign = -1 if k % 4 == 0 else 1
+        lines = []
+        for kern, head in ((lambda y: 1 - mp.tanh(y / sp),
+                            [(1, 0), (-1 / sp, 1)]),
+                           (lambda y: 1 - mp.coth(y / sp),
+                            [(1, 0), (-sp, -1), (-1 / (3 * sp), 1)])):
+            i0, i1 = (integral(kern, head, j) for j in (0, 1))
+            lines.append((float(-sign * a * i0),
+                          float(sign * (a * i1 + c * i0))))
+        return tuple(sorted(lines))
+
+
+class TestLargeExponent:
+    """y ** sigma on the grid overflows near sigma = 118 at b = 0.3, where
+    leading_term, run_sweep and predict stop too; below that both
+    families' envelopes are finite, above it they raise ValueError.  So
+    do a power-log sigma below ~1e-154, where the log head's 1/sigma^2
+    overflows, and a subnormal power sigma, where its 1/sigma does."""
+
+    def test_finite_at_k110(self):
+        mp = pytest.importorskip("mpmath")
+        f = power(0.3, 110, 0.5)
+        cb = coefficient_bounds(f)
+        lo, hi = _gamma_zeta_bounds(f, mp)
+        assert cb.lower == pytest.approx(lo, rel=1e-13)
+        assert cb.upper == pytest.approx(hi, rel=1e-13)
+        env = log_envelope_constants(powerlog(0.3, 110, 0.5))
+        assert all(math.isfinite(v) for v in env.upper + env.lower)
+
+    @pytest.mark.parametrize("func,f,sigma", [
+        (coefficient_bounds, power(0.3, 200, 0.5), "200.5"),
+        (log_envelope_constants, powerlog(0.3, 200, 0.5), "200.5"),
+        (log_envelope_constants, powerlog(0.3, 0, 1e-300), "1e-300"),
+        (coefficient_bounds, power(0.3, 0, 1e-310), "1e-310"),
+    ], ids=["power-k200", "powerlog-k200", "powerlog-beta1e-300",
+            "power-alpha1e-310"])
+    def test_overflow_raises(self, func, f, sigma):
+        with pytest.raises(ValueError, match=f"sigma = {sigma}"):
+            func(f)
 
 
 class TestLogCase:
@@ -211,25 +343,30 @@ class TestLogCase:
         assert a_sym == pytest.approx(0.0, abs=1e-12)
         assert b_sym == pytest.approx(1.628, abs=0.01)
 
-    # the last two have sin phi (34 + 3 sigma) < 1: the kink piece below
-    # y = 1 covers the whole reach
-    @pytest.mark.parametrize("b,k,beta", [(-0.7, 1, 0.5), (0.4, 3, 0.9),
-                                          (0.9999, 1, 0.5), (-0.9999, 1, 1.0)])
+    # (0.9999, 1, 0.5) and (-0.9999, 1, 1.0) have sin phi (34 + 3 sigma)
+    # < 1: the kink piece below y = 1 covers the whole reach; sigma = 0.02
+    # and 0.05 put most of the 1/sinh integrals in y^(sigma-1) near y = 0
+    @pytest.mark.parametrize("b,k,beta", [
+        (-0.7, 1, 0.5), (0.4, 3, 0.9), (0.9999, 1, 0.5), (-0.9999, 1, 1.0),
+        (0.0, 1, -0.98), (0.667, 1, -0.98), (0.0, 1, -0.95),
+        (0.667, 1, -0.95)])
     def test_odd_log_envelope_against_mpmath(self, b, k, beta):
-        # strict bound A = |2 s_beta| I_0, B = pi |s_beta1| I_0 + |2 s_beta| I_1
-        # with I_j = int y^(k+beta) |log y|^j / sinh(2y/sin phi) dy
         mp = pytest.importorskip("mpmath")
-        with mp.workdps(30):
-            sp, sigma = mp.sin(mp.acos(b)), k + mp.mpf(beta)
-            cuts = sorted([0, sp / 8, sp / 2, sp, 1, 4 * sp, 16 * sp, 80 * sp])
-            i0, i1 = (mp.quad(lambda y: y ** sigma * abs(mp.log(y)) ** j
-                              / mp.sinh(2 * y / sp), cuts) for j in (0, 1))
-            s_b, s_b1 = mp.sin(beta * mp.pi / 2), mp.sin((beta + 1) * mp.pi / 2)
-            a_ref = float(abs(2 * s_b) * i0)
-            b_ref = float(mp.pi * abs(s_b1) * i0 + abs(2 * s_b) * i1)
+        lower, upper = _log_envelope_reference(b, k, beta, mp)
         env = log_envelope_constants(powerlog(b, k, beta))
-        assert env.upper[0] == pytest.approx(a_ref, rel=1e-13)
-        assert env.upper[1] == pytest.approx(b_ref, rel=1e-13)
+        assert not env.attained
+        assert env.upper == pytest.approx(upper, rel=1e-13)
+        assert env.lower == pytest.approx(lower, rel=1e-13)
+
+    # beta = 0.02: at cos Psi = -1 the even kernel goes like -sin phi / y
+    @pytest.mark.parametrize("b,k,beta", [(0.4, 0, 0.02), (0.2, 2, -0.25)])
+    def test_even_log_envelope_against_mpmath(self, b, k, beta):
+        mp = pytest.importorskip("mpmath")
+        lower, upper = _log_envelope_reference(b, k, beta, mp)
+        env = log_envelope_constants(powerlog(b, k, beta))
+        assert env.attained
+        assert env.upper == pytest.approx(upper, rel=1e-13)
+        assert env.lower == pytest.approx(lower, rel=1e-13)
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_log_envelope_order_at_beta_zero(self, k):
@@ -243,11 +380,11 @@ class TestPsi0:
     def test_root_for_k0_alpha05(self):
         c0 = psi0_solve(0, 0.5)
         assert -1.0 < c0 <= 0.0            # crude estimate is near 0
-        assert abs(psi0_residual(0, 0.5, c0)) <= 1e-10
+        assert abs(_psi0_integral(0, 0.5)(c0)) <= 1e-10
 
     def test_monotone_in_cos_psi(self):
         grid = np.linspace(-1 + 1e-6, 1.0, 11)
-        vals = [psi0_residual(0, 0.5, c) for c in grid]
+        vals = [_psi0_integral(0, 0.5)(c) for c in grid]
         assert np.all(np.diff(vals) > 0)
 
     def test_regime_guard(self):
@@ -267,16 +404,16 @@ class TestPsi0:
         assume(alpha != 0.0 and k + alpha > 0.0)
         c = psi0_solve(k, alpha)
         assert -1.0 < c < 1.0
-        assert psi0_residual(k, alpha, c - 1e-7) < 0.0 \
-            < psi0_residual(k, alpha, c + 1e-7)
+        value = _psi0_integral(k, alpha)
+        assert value(c - 1e-7) < 0.0 < value(c + 1e-7)
 
     @pytest.mark.parametrize("k,alpha", [(8, 2.0), (12, 2.0)])
     def test_root_at_large_exponent(self, k, alpha):
         # the integral scales like Gamma(k + alpha + 1), so |f| <= 1e-10
         # is out of reach; the bracket closing to adjacent doubles ends it
         c = psi0_solve(k, alpha)
-        assert psi0_residual(k, alpha, c - 1e-7) < 0.0 \
-            < psi0_residual(k, alpha, c + 1e-7)
+        value = _psi0_integral(k, alpha)
+        assert value(c - 1e-7) < 0.0 < value(c + 1e-7)
 
 
 class TestRecommend:
@@ -446,14 +583,16 @@ class TestPinnedBits:
         assert tuple(v.hex() for v in env.upper + env.lower) == expected
 
     def test_coefficient_bounds(self):
+        # on the grid since the envelope body is shared with power-log;
+        # 3.0e-16 and 5.0e-16 off the 30-digit Gamma zeta closed form
         cb = coefficient_bounds(power(0.4, 0, 0.5))
-        assert (cb.lower.hex(), cb.upper.hex()) == ("-0x1.30a0aae701344p-1",
-                                                    "0x1.040413d2ae1d4p+1")
+        assert (cb.lower.hex(), cb.upper.hex()) == ("-0x1.30a0aae701347p-1",
+                                                    "0x1.040413d2ae1d7p+1")
         cb = coefficient_bounds(power(math.cos(math.pi / 6), 1, 0.5))
         assert cb.upper.hex() == "0x1.09bec34795677p-3"
 
     def test_phase_root(self):
-        assert psi0_residual(0, 0.5, -0.5).hex() == "-0x1.2579798f4bfacp-2"
+        assert _psi0_integral(0, 0.5)(-0.5).hex() == "-0x1.2579798f4bfacp-2"
         assert psi0_solve(0, 0.5).hex() == "-0x1.60be2baa7377ap-2"
         assert psi0_solve(2, 0.25).hex() == "-0x1.9ebab4ca29486p-4"
 
