@@ -31,22 +31,25 @@ give Q_n/P_n = -i pi / (e^(x + i Psi) + 1); tests/paper_asymptotics.py
 builds Q_n/P_n from _kernel_parts, and TestQPRatio checks it against
 exact Q_n/P_n.
 
-_graded(y_max, sigma) with _sums is the only quadrature rule (_grid
-applies it on the reach; the odd-k power-log bound also applies it on
-[0, min(1, y_max)], below the kink of |log y| at y = 1): 60 panels
-with the nodes of compute_rule(32), built at import and graded toward
-y = 0, where the integrand behaves like y^sigma.  The substitution
+_graded(y_max, sigma) with _sums is the only quadrature rule, and _grid
+the only caller (on the reach, or, for the odd-k power-log bound, on
+[0, min(1, y_max)], below the kink of |log y| at y = 1): 60 panels with
+the nodes of compute_rule(32), built at import and graded toward y = 0,
+where the integrand behaves like y^sigma.  The substitution
 y = y_max u^p, p = min(8, max(1, 2/sigma)), flattens that endpoint so
 each panel sees an analytic integrand and the dropped stub below the
 lowest panel edge y0 = y_max 2^(-58 p) is negligible (away from
 cos Psi = -1, sigma < 1/4 stays within 1e-13 of the closed form; a cap
-of 16 lost up to 6e-7).  At cos Psi = -1 and in the odd-k bound the
-integrand goes like C y^(sigma-1) instead, and the stub is not
-negligible for small sigma: the envelopes add it as C times _head, the
-analytic integral of y^(sigma-1) (or y^(sigma-1) log y) over [0, y0].
-_sums also returns the sum over the outer half of the panels; both
-leading-term routes reject a value that is not finite or whose inner
-half, nearest y = 0, changes it by more than 1e-3.
+of 16 lost up to 6e-7).  At cos Psi = -1 (b = 0 with odd n) and in the
+odd-k bound the integrand goes like C y^(sigma-1) instead, and the stub
+is not negligible for small sigma: the grid carries _head, the analytic
+integral of y^(sigma-1) and y^(sigma-1) log y over [0, y0], and C times
+it is added, as _stub (C = -sin phi) by _reduced and by the jump route
+of Power and PowerLog, and by the odd-k bound (C = sin phi / 2).  So
+every value of Power and PowerLog is the closed form near y = 0 plus the
+panels, and is only checked to be finite; a GeneralJump's jump comes
+from the caller, and its value is also rejected if the inner half of the
+panels, nearest y = 0, changes it by more than 1e-3.
 """
 
 from __future__ import annotations
@@ -157,9 +160,8 @@ def _head(y_max: float, sigma: float):
     return h0, h0 * (math.log(y0) - 1.0 / sigma)
 
 
-def _sums(w: np.ndarray, vals: np.ndarray):
-    """(sum w vals, the same over the outer half of the panels)."""
-    return float(np.dot(w, vals)), float(np.dot(w[:_HEAD], vals[:_HEAD]))
+def _sums(w: np.ndarray, vals: np.ndarray) -> float:
+    return float(np.dot(w, vals))
 
 
 class _Grid(NamedTuple):
@@ -169,29 +171,51 @@ class _Grid(NamedTuple):
     w: np.ndarray
     em1: np.ndarray    # e^-x - 1
     sh2: np.ndarray    # cosh x - 1
+    sin_phi: float
+    y_max: float
+    head: tuple[float, float]   # _head(y_max, sigma)
 
 
-def _grid(sigma: float, sin_phi: float) -> _Grid:
-    """_Grid on the reach [0, sin phi (34 + 3 sigma)]."""
-    y, w = _graded(sin_phi * (_REACH + 3.0 * sigma), sigma)
-    return _Grid(y, w, *_kernel_parts(y, sin_phi))
+def _grid(sigma: float, sin_phi: float,
+          y_max: Optional[float] = None) -> _Grid:
+    """_Grid on [0, y_max], by default the reach sin phi (34 + 3 sigma)."""
+    if y_max is None:
+        y_max = sin_phi * (_REACH + 3.0 * sigma)
+    y, w = _graded(y_max, sigma)
+    return _Grid(y, w, *_kernel_parts(y, sin_phi), sin_phi, y_max,
+                 _head(y_max, sigma))
+
+
+def _stub(grid: _Grid, a: float, c: float, log_n: float) -> float:
+    """The even kernel's integral at cos Psi = -1 below the grid's lowest
+    panel edge, where the kernel goes like -sin phi / y: -sin phi times
+    the head of y^sigma (a (log y - log n) + c)."""
+    h0, h1 = grid.head
+    return -grid.sin_phi * ((a * (h1 - log_n * h0) if a else 0.0) + c * h0)
 
 
 def _reduced(grid: _Grid, odd: bool, cp1: float, sin_psi: float,
-             factor: np.ndarray):
-    """_sums of factor N / D on grid at one phase, with N / D the even
-    kernel, or the odd one if odd."""
+             factor: np.ndarray, a: float = 0.0, c: float = 1.0,
+             log_n: float = 0.0) -> float:
+    """The grid sum of factor N / D at one phase, with N / D the even
+    kernel, or the odd one if odd, and factor = y^sigma (a (log y - log n)
+    + c); at cos Psi = -1 the even kernel adds its _stub."""
     kern = (sin_psi if odd else grid.em1 + cp1) / (grid.sh2 + cp1)
-    return _sums(grid.w, factor * kern)
+    total = _sums(grid.w, factor * kern)
+    if cp1 == 0.0 and not odd:
+        total += _stub(grid, a, c, log_n)
+    return total
 
 
-def _checked(value: float, check: float) -> float:
-    """value, unless it is not finite or the inner panels moved it > 1e-3."""
+def _checked(value: float, outer: Optional[float] = None) -> float:
+    """value, unless it is not finite or, given the sum outer over the
+    outer half of the panels, the inner half moved it by more than 1e-3."""
+    gap = 0.0 if outer is None else abs(value - outer)
     if not (math.isfinite(value)
-            and abs(value - check) <= 1e-3 * max(abs(value), 1e-13)):
+            and gap <= 1e-3 * max(abs(value), 1e-13)):
         raise RuntimeError(
             f"inner quadrature did not converge (refinement gap "
-            f"{abs(value - check):.2e} vs value {value:.2e})")
+            f"{gap:.2e} vs value {value:.2e})")
     return value
 
 
@@ -217,15 +241,27 @@ def _leading_terms(f: SingularIntegrand, ns) -> list[float]:
 
 def _jump_terms(f: SingularIntegrand, ns) -> list[float]:
     """(1/n) int Re([f] K) at f's phase for each n, on one grid; open to
-    every integrand."""
-    grid = _grid(f.singular_exponent, math.sin(f.phi))
+    every integrand.  For Power and PowerLog with even k, cos Psi = -1
+    adds the _stub of the bracket times the jump's e(b) / n^sigma.  A
+    GeneralJump's jump comes from the caller, so its sum must also agree
+    with the sum over the outer half of the panels."""
+    fam, sigma = f.family, f.singular_exponent
+    grid = _grid(sigma, math.sin(f.phi))
     out = []
     for n in ns:
         info = phase(f, n)
         kern = ((1j * (grid.em1 + info.cp1) + info.sin_psi)
                 / (grid.sh2 + info.cp1))
-        total, head = _sums(grid.w, np.real(jump(f, grid.y, n) * kern))
-        out.append(_checked(total / n, head / n))
+        vals = np.real(jump(f, grid.y, n) * kern)
+        total, outer = _sums(grid.w, vals), None
+        if not isinstance(fam, (Power, PowerLog)):
+            outer = _sums(grid.w[:_HEAD], vals[:_HEAD]) / n
+        elif info.cp1 == 0.0 and fam.k % 2 == 0:
+            env = (1.0 if f.envelope is None
+                   else float(np.real(f.envelope(complex(f.b)))))
+            total += (_stub(grid, *_jump_coefficients(fam), math.log(n))
+                      * _parity_sign(fam.k) * env / n ** sigma)
+        out.append(_checked(total / n, outer))
     return out
 
 
@@ -237,7 +273,7 @@ def _parity_sign(k: int) -> float:
 def _reduced_terms(f: SingularIntegrand, ns) -> list[float]:
     """sign * scale * _reduced / n^(sigma+1) at f's phase for each n, on
     one grid; power-log carries the bracket a (log y - log n) + c of
-    _jump_coefficients, and power scales by its c."""
+    _jump_coefficients, and power the bracket 1, scaled by its c."""
     if f.envelope is not None:
         raise TypeError("parity reduction does not cover envelopes")
     fam, sigma = f.family, f.singular_exponent
@@ -245,17 +281,20 @@ def _reduced_terms(f: SingularIntegrand, ns) -> list[float]:
     ys = grid.y ** sigma
     a, c = _jump_coefficients(fam)
     if isinstance(fam, Power):
-        scale, factor = c, lambda n: ys
+        scale, bracket = c, lambda n: (ys,)
     else:
         logy = np.log(grid.y)
-        scale, factor = 1.0, lambda n: ys * (a * (logy - math.log(n)) + c)
+        scale = 1.0
+
+        def bracket(n):   # _reduced's (factor, a, c, log n) at size n
+            log_n = math.log(n)
+            return ys * (a * (logy - log_n) + c), a, c, log_n
     scale, odd = _parity_sign(fam.k) * scale, fam.k % 2 == 1
     out = []
     for n in ns:
         info = phase(f, n)
-        total, head = _reduced(grid, odd, info.cp1, info.sin_psi, factor(n))
-        d = n ** (sigma + 1.0)
-        out.append(_checked(scale * total / d, scale * head / d))
+        total = _reduced(grid, odd, info.cp1, info.sin_psi, *bracket(n))
+        out.append(_checked(scale * total / n ** (sigma + 1.0)))
     return out
 
 
@@ -299,38 +338,36 @@ def _envelope_lines(f: SingularIntegrand):
     sigma, sp = f.singular_exponent, math.sin(f.phi)
     a, c = _jump_coefficients(fam)
     sign = _parity_sign(fam.k)
-    y_max = sp * (_REACH + 3.0 * sigma)
-    h0, h1 = _head(y_max, sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         # cosh x - 1 overflows far out, where the kernel's share is 0
         grid = _grid(sigma, sp)
         ys = grid.y ** sigma
         ys_log = ys * np.log(grid.y) if a else None   # no log for Power
         if fam.k % 2 == 0:
-            def at(cp1: float, head: float):
-                base = _reduced(grid, False, cp1, 0.0, ys)[0] + head * h0
-                base_log = (_reduced(grid, False, cp1, 0.0, ys_log)[0]
-                            + head * h1) if a else 0.0
+            def at(cp1: float):
+                base = _reduced(grid, False, cp1, 0.0, ys)
+                base_log = (_reduced(grid, False, cp1, 0.0, ys_log, 1.0, 0.0)
+                            if a else 0.0)
                 # scaled = sign * [a (log y - log n) + c] * kernel
                 return -sign * a * base, sign * (a * base_log + c * base)
 
-            lower, upper = sorted([at(2.0, 0.0), at(0.0, -sp)])
+            lower, upper = sorted([at(2.0), at(0.0)])
         else:
-            # 1/sinh x = 1/((cosh x - 1) - (e^-x - 1)), two nonnegative terms
-            sinh = grid.sh2 - grid.em1
-            base = _sums(grid.w, ys / sinh)[0] + 0.5 * sp * h0
+            def over_sinh(g: _Grid, vals: np.ndarray, head: float):
+                # 1/sinh x = 1/((cosh x - 1) - (e^-x - 1)), two nonnegative
+                # terms, goes like sin phi / (2y) at y = 0
+                return _sums(g.w, vals / (g.sh2 - g.em1)) + 0.5 * sp * head
+
+            base = over_sinh(grid, ys, grid.head[0])
             base_log = 0.0
             if a:
                 # |log y| has a kink at y = 1 inside a panel: integrate
                 # log y, then flip the sign of the part below y = 1 on a
-                # rule of its own
-                y_kink = min(1.0, y_max)
-                y, w = _graded(y_kink, sigma)
-                em1, sh2 = _kernel_parts(y, sp)
-                below = (_sums(w, y ** sigma * np.log(y) / (sh2 - em1))[0]
-                         + 0.5 * sp * _head(y_kink, sigma)[1])
-                base_log = (_sums(grid.w, ys_log / sinh)[0] + 0.5 * sp * h1
-                            - 2.0 * below)
+                # grid of its own
+                kink = _grid(sigma, sp, min(1.0, grid.y_max))
+                below = over_sinh(kink, kink.y ** sigma * np.log(kink.y),
+                                  kink.head[1])
+                base_log = over_sinh(grid, ys_log, grid.head[1]) - 2.0 * below
             a_sym = abs(a) * base
             b_sym = abs(c) * base + abs(a) * base_log
             lower, upper = (-a_sym, -b_sym), (a_sym, b_sym)
@@ -377,7 +414,7 @@ def _psi0_integral(k: int, alpha: float):
     # where x = 2y/2 = y exactly
     grid = _grid(k + alpha, 2.0)
     ys = grid.y ** (k + alpha)
-    return lambda c: _reduced(grid, False, 1.0 + c, 0.0, ys)[0]
+    return lambda c: _reduced(grid, False, 1.0 + c, 0.0, ys)
 
 
 def psi0_solve(k: int, alpha: float) -> float:

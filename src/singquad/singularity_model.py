@@ -91,9 +91,7 @@ Family = Union[Power, PowerLog, GeneralJump]
 @dataclass(frozen=True)
 class PhaseInfo:
     phi: float
-    psi: float          # (2n+1) phi - pi/2, reduced to (-pi, pi]
-    cos_psi: float
-    sin_psi: float
+    sin_psi: float      # Psi = (2n+1) phi - pi/2, reduced to (-pi, pi]
     cp1: float          # 1 + cos Psi as 2 cos^2(Psi/2): no cancellation at pi
 
     @property
@@ -195,7 +193,8 @@ def jump(f: SingularIntegrand, y, n: int):
 
 
 def phase(f: SingularIntegrand, n: int) -> PhaseInfo:
-    """phi = arccos(b) and Psi = (2n+1) phi - pi/2 reduced mod 2 pi.
+    """phi = arccos(b), with sin Psi and 1 + cos Psi of
+    Psi = (2n+1) phi - pi/2 reduced mod 2 pi.
 
     At b = 0 and odd n, b is the middle Gauss node and Psi = pi exactly;
     the rounded reduction would leave sin Psi ~ 1e-16, which the kernel
@@ -205,11 +204,9 @@ def phase(f: SingularIntegrand, n: int) -> PhaseInfo:
     """
     phi = f.phi
     if f.b == 0.0 and n % 2 == 1:
-        return PhaseInfo(phi=phi, psi=math.pi, cos_psi=-1.0, sin_psi=0.0,
-                         cp1=0.0)
+        return PhaseInfo(phi=phi, sin_psi=0.0, cp1=0.0)
     psi = math.remainder((2 * n + 1) * phi - math.pi / 2, 2.0 * math.pi)
-    return PhaseInfo(phi=phi, psi=psi, cos_psi=math.cos(psi),
-                     sin_psi=math.sin(psi),
+    return PhaseInfo(phi=phi, sin_psi=math.sin(psi),
                      cp1=2.0 * math.cos(0.5 * psi) ** 2)
 
 

@@ -186,8 +186,8 @@ def test_criterion_6_example3_phase_classes(sweep):
     records, _ = sweep(3)
     f = SingularIntegrand(math.cos(math.pi / 6), Power(1, 0.5))
     cos_phases = {round(r.cos_phase, 9) for r in records}
-    cos_psis = {round(phase(f, r.n).cos_psi, 9) for r in records}
-    classes_ok = len(cos_phases) <= 4 and len(cos_psis) <= 4
+    cp1s = {round(phase(f, r.n).cp1, 9) for r in records}
+    classes_ok = len(cos_phases) <= 4 and len(cp1s) <= 4
 
     zero = [r for r in records if abs(r.cos_phase) < 1e-9 and r.n >= 50]
     rest = [r for r in records if abs(r.cos_phase) >= 1e-9 and r.n >= 50]

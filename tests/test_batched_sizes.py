@@ -63,10 +63,13 @@ def test_batch_matches_single_sizes(family, b, k, expo, enveloped, ns):
 
 
 def test_raising_size_raises_from_the_batch():
-    # b = 0, odd n: cos Psi = -1 and the integrand goes like y^-0.98
-    f = SingularIntegrand(0.0, Power(0, 0.02))
+    # a y^-0.99 jump leaves most of the integral in the panels next to
+    # y = 0, which the convergence check of a caller's jump catches
+    f = SingularIntegrand(0.2, GeneralJump(
+        real_eval=lambda x: x, jump_eval=lambda y, n: 1j * y ** -0.99,
+        holder_k=0, holder_alpha=0.01))
     with pytest.raises(RuntimeError, match="did not converge") as one:
-        leading_term(f, 101)
+        leading_term(f, 100)
     with pytest.raises(RuntimeError) as ranked:
         recommend_n(f, 100, 110)
     with pytest.raises(RuntimeError) as batch:

@@ -149,21 +149,17 @@ class TestCli:
         assert len(picks) == 5
         assert all(100 <= p <= 130 for p in picks)
 
-    def test_predict_non_finite_raises(self):
-        # b = 0, odd n and k + alpha = 0.02: the integrand goes like
-        # y^-0.98 and the inner panels hold too much of it
-        with pytest.raises(RuntimeError, match="did not converge"):
-            main(["predict", "--spec", "power(0, 0, 0.02)", "--n", "101"])
-
-    def test_predict_zeta_form_at_b_zero(self, capsys):
+    @pytest.mark.parametrize("alpha", [0.1, 0.02])
+    def test_predict_zeta_form_at_b_zero(self, alpha, capsys):
         # b = 0, odd n: Psi = pi, and with s = alpha + 1 the leading term
-        # is 4 sin(alpha pi/2) Gamma(s) zeta(s) / (2n)^s
+        # is 4 sin(alpha pi/2) Gamma(s) zeta(s) / (2n)^s; at alpha = 0.02
+        # the integrand goes like y^-0.98, mostly below the lowest panel
         mp = pytest.importorskip("mpmath")
-        alpha, n = 0.1, 101
+        n = 101
         s = alpha + 1.0
         want = (4.0 * math.sin(alpha * math.pi / 2) * math.gamma(s)
                 * float(mp.zeta(s)) / (2.0 * n) ** s)
-        assert main(["predict", "--spec", "power(0, 0, 0.1)",
+        assert main(["predict", "--spec", f"power(0, 0, {alpha})",
                      "--n", str(n)]) == 0
         assert (f"predicted leading error at n = {n}: {want:.6e}"
                 in capsys.readouterr().out)

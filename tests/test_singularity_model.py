@@ -138,32 +138,33 @@ class TestPhase:
     def test_b_zero(self):
         for n in (3, 10, 57):
             info = phase(SingularIntegrand(0.0, Power(0, 0.5)), n)
-            assert abs(info.cos_psi) == pytest.approx(1.0, abs=1e-12)
+            assert abs(info.cp1 - 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_b_zero_odd_n_is_exactly_pi(self):
         # b = 0 is then the middle Gauss node
         for n in (11, 101, 599):
             info = phase(SingularIntegrand(0.0, Power(1, -0.5)), n)
-            assert (info.psi, info.cos_psi, info.sin_psi) == (math.pi, -1.0, 0.0)
+            assert (info.cp1, info.sin_psi) == (0.0, 0.0)
 
     def test_pi_over_six(self):
         f = SingularIntegrand(math.cos(math.pi / 6), Power(1, 0.5))
-        info = phase(f, 1)
-        assert info.psi == pytest.approx(0.0, abs=1e-12)
+        info = phase(f, 1)        # Psi = 0
+        assert info.sin_psi == pytest.approx(0.0, abs=1e-12)
+        assert info.cp1 == pytest.approx(2.0, abs=1e-12)
 
     def test_at_most_four_phase_values(self):
         f = SingularIntegrand(math.cos(math.pi / 6), Power(1, 0.5))
         cos_phases = {round(phase(f, n).cos_phase, 9) for n in range(1, 200)}
-        cos_psis = {round(phase(f, n).cos_psi, 9) for n in range(1, 200)}
+        cp1s = {round(phase(f, n).cp1, 9) for n in range(1, 200)}
         assert len(cos_phases) <= 4
-        assert len(cos_psis) <= 4
+        assert len(cp1s) <= 4
 
     def test_periodicity(self):
         f = SingularIntegrand(math.cos(math.pi / 6), Power(1, 0.5))
         for n in range(1, 60):
-            a = phase(f, n).cos_psi
-            b = phase(f, n + 6).cos_psi
-            assert a == pytest.approx(b, abs=1e-9)
+            a, b = phase(f, n), phase(f, n + 6)
+            assert a.cp1 == pytest.approx(b.cp1, abs=1e-9)
+            assert a.sin_psi == pytest.approx(b.sin_psi, abs=1e-9)
 
 
 class TestParser:
