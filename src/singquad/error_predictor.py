@@ -16,13 +16,16 @@ k: the Power and PowerLog leading terms, the envelopes of both families
 (x = y), the phase root.  Both routes depend on n and
 Psi only through cos Psi, sin Psi and the jump or the bracket, so the
 rest (weights, e^-x - 1, cosh x - 1) is built once per (sigma, sin phi)
-by _grid, and each size forms only the rational kernel and two dot
-products: _leading_terms ranks every size of recommend_n and run_sweep
-on one grid, and psi0_solve bisects on one.
+by _grid (cosh x - 1 is inf far out, where the kernel's share is 0).
+Each size takes its phase as two floats from _phase_parts, forms the
+kernel and its factor in the grid's workspace with the float operations
+of the written form, and takes one dot product: _leading_terms ranks
+every size of recommend_n and run_sweep on one grid, and psi0_solve
+bisects on one.
 
 _kernel_parts(y, sin_phi) is the only place the kernel's x-dependence is
 written, in expm1/sinh^2 form; both routes add cp1 = 1 + cos Psi, which
-PhaseInfo carries as 2 cos^2(Psi/2), so that neither cancels as
+_phase_parts gives as 2 cos^2(Psi/2), so that neither cancels as
 cos Psi -> -1, and the odd-k bound takes sinh x as the difference
 (cosh x - 1) - (e^-x - 1) of its two nonnegative parts.  The complex
 kernel (sin Psi + i (e^-x + cos Psi)) / (cosh x + cos Psi) is
@@ -63,7 +66,7 @@ import numpy as np
 
 from .gauss_rule import compute_rule
 from .singularity_model import (Power, PowerLog, SingularIntegrand,
-                                _jump_coefficients, jump, phase)
+                                _jump_coefficients, _phase_parts, jump)
 
 __all__ = [
     "ErrorPrediction",
@@ -116,10 +119,18 @@ class LogEnvelope:
     attained: bool
 
 
-def _kernel_parts(y: np.ndarray, sin_phi: float):
-    """(e^-x - 1, cosh x - 1) at x = 2y/sin phi: the kernel without Psi."""
-    x = 2.0 * y / sin_phi
-    return np.expm1(-x), 2.0 * np.sinh(0.5 * x) ** 2
+def _kernel_parts(y: np.ndarray, sin_phi: float) -> np.ndarray:
+    """[e^-x - 1; cosh x - 1] at x = 2y/sin phi, stacked and read-only:
+    the kernel without Psi.  It unpacks as em1, sh2, also for a scalar y."""
+    x = np.asarray(2.0 * y / sin_phi)
+    parts = np.empty((2,) + x.shape)
+    em1, sh2 = parts[0, ...], parts[1, ...]
+    np.expm1(-x, out=em1)
+    np.sinh(0.5 * x, out=sh2)
+    np.square(sh2, out=sh2)         # the ufuncs of 2.0 * np.sinh(...) ** 2
+    np.multiply(2.0, sh2, out=sh2)
+    parts.setflags(write=False)
+    return parts
 
 
 def _unit_panels():
@@ -165,12 +176,15 @@ def _sums(w: np.ndarray, vals: np.ndarray) -> float:
 
 
 class _Grid(NamedTuple):
-    """The n- and Psi-free parts of the integrand at one (sigma, sin phi)."""
+    """The n- and Psi-free parts of the integrand at one (sigma, sin phi),
+    and a workspace for the sizes' kernels, per call and never shared."""
 
     y: np.ndarray
     w: np.ndarray
-    em1: np.ndarray    # e^-x - 1
-    sh2: np.ndarray    # cosh x - 1
+    parts: np.ndarray   # _kernel_parts, read-only
+    work: np.ndarray    # of parts' shape
+    em1: np.ndarray     # e^-x - 1, parts[0]
+    sh2: np.ndarray     # cosh x - 1, parts[1]
     sin_phi: float
     y_max: float
     head: tuple[float, float]   # _head(y_max, sigma)
@@ -182,8 +196,11 @@ def _grid(sigma: float, sin_phi: float,
     if y_max is None:
         y_max = sin_phi * (_REACH + 3.0 * sigma)
     y, w = _graded(y_max, sigma)
-    return _Grid(y, w, *_kernel_parts(y, sin_phi), sin_phi, y_max,
-                 _head(y_max, sigma))
+    with np.errstate(over="ignore"):
+        # cosh x - 1 overflows far out, where the kernel's share is 0
+        parts = _kernel_parts(y, sin_phi)
+    return _Grid(y, w, parts, np.empty_like(parts), parts[0], parts[1],
+                 sin_phi, y_max, _head(y_max, sigma))
 
 
 def _stub(grid: _Grid, a: float, c: float, log_n: float) -> float:
@@ -199,9 +216,17 @@ def _reduced(grid: _Grid, odd: bool, cp1: float, sin_psi: float,
              log_n: float = 0.0) -> float:
     """The grid sum of factor N / D at one phase, with N / D the even
     kernel, or the odd one if odd, and factor = y^sigma (a (log y - log n)
-    + c); at cos Psi = -1 the even kernel adds its _stub."""
-    kern = (sin_psi if odd else grid.em1 + cp1) / (grid.sh2 + cp1)
-    total = _sums(grid.w, factor * kern)
+    + c); at cos Psi = -1 the even kernel adds its _stub.  N / D and
+    factor N / D are formed in the grid's workspace."""
+    num, den = grid.work
+    if odd:
+        np.add(grid.sh2, cp1, out=den)
+        np.divide(sin_psi, den, out=num)
+    else:
+        np.add(grid.parts, cp1, out=grid.work)
+        np.divide(num, den, out=num)
+    num *= factor    # the bits of factor * (N / D): products commute
+    total = _sums(grid.w, num)
     if cp1 == 0.0 and not odd:
         total += _stub(grid, a, c, log_n)
     return total
@@ -231,7 +256,8 @@ def leading_term(f: SingularIntegrand, n: int) -> float:
 def _leading_terms(f: SingularIntegrand, ns) -> list[float]:
     """[leading_term(f, n) for n in ns], with one grid for all n."""
     for n in ns:
-        if not isinstance(n, numbers.Integral) or n < _MIN_N:
+        integral = type(n) is int or isinstance(n, numbers.Integral)
+        if not integral or n < _MIN_N:
             raise ValueError(
                 f"leading_term needs an integer n >= {_MIN_N}, got {n!r}")
     if f.envelope is None and isinstance(f.family, (Power, PowerLog)):
@@ -245,18 +271,19 @@ def _jump_terms(f: SingularIntegrand, ns) -> list[float]:
     adds the _stub of the bracket times the jump's e(b) / n^sigma.  A
     GeneralJump's jump comes from the caller, so its sum must also agree
     with the sum over the outer half of the panels."""
-    fam, sigma = f.family, f.singular_exponent
-    grid = _grid(sigma, math.sin(f.phi))
+    fam, sigma, b, phi = f.family, f.singular_exponent, f.b, f.phi
+    grid = _grid(sigma, math.sin(phi))
+    em, den = grid.work
     out = []
     for n in ns:
-        info = phase(f, n)
-        kern = ((1j * (grid.em1 + info.cp1) + info.sin_psi)
-                / (grid.sh2 + info.cp1))
+        sin_psi, cp1 = _phase_parts(b, phi, n)
+        np.add(grid.parts, cp1, out=grid.work)   # em1 + cp1, sh2 + cp1
+        kern = (1j * em + sin_psi) / den
         vals = np.real(jump(f, grid.y, n) * kern)
         total, outer = _sums(grid.w, vals), None
         if not isinstance(fam, (Power, PowerLog)):
             outer = _sums(grid.w[:_HEAD], vals[:_HEAD]) / n
-        elif info.cp1 == 0.0 and fam.k % 2 == 0:
+        elif cp1 == 0.0 and fam.k % 2 == 0:
             env = (1.0 if f.envelope is None
                    else float(np.real(f.envelope(complex(f.b)))))
             total += (_stub(grid, *_jump_coefficients(fam), math.log(n))
@@ -276,24 +303,29 @@ def _reduced_terms(f: SingularIntegrand, ns) -> list[float]:
     _jump_coefficients, and power the bracket 1, scaled by its c."""
     if f.envelope is not None:
         raise TypeError("parity reduction does not cover envelopes")
-    fam, sigma = f.family, f.singular_exponent
-    grid = _grid(sigma, math.sin(f.phi))
+    fam, sigma, b, phi = f.family, f.singular_exponent, f.b, f.phi
+    grid = _grid(sigma, math.sin(phi))
     ys = grid.y ** sigma
     a, c = _jump_coefficients(fam)
     if isinstance(fam, Power):
         scale, bracket = c, lambda n: (ys,)
     else:
-        logy = np.log(grid.y)
+        logy, buf = np.log(grid.y), np.empty_like(ys)
         scale = 1.0
 
         def bracket(n):   # _reduced's (factor, a, c, log n) at size n
+            # ys * (a * (logy - log_n) + c), in buf; products commute
             log_n = math.log(n)
-            return ys * (a * (logy - log_n) + c), a, c, log_n
+            np.subtract(logy, log_n, out=buf)
+            np.multiply(buf, a, out=buf)
+            np.add(buf, c, out=buf)
+            np.multiply(buf, ys, out=buf)
+            return buf, a, c, log_n
     scale, odd = _parity_sign(fam.k) * scale, fam.k % 2 == 1
     out = []
     for n in ns:
-        info = phase(f, n)
-        total = _reduced(grid, odd, info.cp1, info.sin_psi, *bracket(n))
+        sin_psi, cp1 = _phase_parts(b, phi, n)
+        total = _reduced(grid, odd, cp1, sin_psi, *bracket(n))
         out.append(_checked(scale * total / n ** (sigma + 1.0)))
     return out
 
@@ -339,7 +371,7 @@ def _envelope_lines(f: SingularIntegrand):
     a, c = _jump_coefficients(fam)
     sign = _parity_sign(fam.k)
     with np.errstate(over="ignore", invalid="ignore"):
-        # cosh x - 1 overflows far out, where the kernel's share is 0
+        # y^sigma overflows past sigma ~ 119; the check below raises
         grid = _grid(sigma, sp)
         ys = grid.y ** sigma
         ys_log = ys * np.log(grid.y) if a else None   # no log for Power

@@ -14,7 +14,7 @@ from .error_predictor import (_MIN_N, _leading_terms, _ranked,
 from .gauss_rule import apply_rule, compute_rule, compute_rules
 from .reference_oracle import exact_integral
 from .singularity_model import (Power, PowerLog, SingularIntegrand,
-                                gauss_envelope, phase)
+                                _phase_parts, gauss_envelope)
 
 __all__ = [
     "ExperimentRecord",
@@ -88,7 +88,7 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     """One record per n in [n_min, n_max], ascending; deterministic."""
     f = cfg.integrand
     exact = exact_integral(f).value
-    sigma = f.singular_exponent
+    sigma, b, phi = f.singular_exponent, f.b, f.phi
     bounds = None
     if isinstance(f.family, Power) and f.envelope is None:
         bounds = coefficient_bounds(f)
@@ -103,7 +103,7 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
             error=err,
             abs_error=abs(err),
             scaled_coeff=err * n ** (sigma + 1.0),
-            cos_phase=phase(f, n).cos_phase,
+            cos_phase=-_phase_parts(b, phi, n)[0],   # PhaseInfo.cos_phase
             predicted=predicted,
             corrected_error=err - predicted,
             bound_lo=bounds.lower if bounds else math.nan,

@@ -203,11 +203,17 @@ def phase(f: SingularIntegrand, n: int) -> PhaseInfo:
     where cos Psi rounds to -1 while sin Psi does not vanish.
     """
     phi = f.phi
-    if f.b == 0.0 and n % 2 == 1:
-        return PhaseInfo(phi=phi, sin_psi=0.0, cp1=0.0)
+    sin_psi, cp1 = _phase_parts(f.b, phi, n)
+    return PhaseInfo(phi=phi, sin_psi=sin_psi, cp1=cp1)
+
+
+def _phase_parts(b: float, phi: float, n: int) -> tuple[float, float]:
+    """(sin Psi, 1 + cos Psi) of phase(f, n), given f's b and phi = acos(b),
+    for loops over many sizes of one integrand."""
+    if b == 0.0 and n % 2 == 1:
+        return 0.0, 0.0
     psi = math.remainder((2 * n + 1) * phi - math.pi / 2, 2.0 * math.pi)
-    return PhaseInfo(phi=phi, sin_psi=math.sin(psi),
-                     cp1=2.0 * math.cos(0.5 * psi) ** 2)
+    return math.sin(psi), 2.0 * math.cos(0.5 * psi) ** 2
 
 
 def parse_integrand(spec: str) -> SingularIntegrand:
