@@ -2,7 +2,7 @@
 
 compute_rules(ns) builds every size of ns that is not cached yet in one
 batch, sizes sorted descending, in blocks of about 32k positive-half
-nodes.  Nodes come by one of two routes:
+nodes.  Nodes come by one of three routes:
 
 - Sizes n >= 100, every node but the 8 nearest x = 1: Tricomi's
   approximation, then one Newton step on the 20-term interior expansion
@@ -11,16 +11,19 @@ nodes.  Nodes come by one of two routes:
   because the root's error then stays relative to u and so to x; in
   theta, the rounding of theta near pi/2 alone moves a node near x = 0
   by up to 1.1e-16, many of its ulps.
-- Sizes below 100, and the 8 edge nodes of larger sizes, where the
-  interior expansion converges too slowly: two Halley steps from the cosine
-  approximation.  Each step runs one forward Legendre recurrence with
-  per-node degrees (_legendre_pair, three rotating out= buffers).
-  Halley converges cubically, so two steps take the O(n^-2) guess below
-  rounding.
+- The 8 edge nodes of sizes n >= 100, where the interior expansion
+  converges too slowly: the boundary (Bessel-zero) approximation in
+  theta, then one Newton step in theta on the Fourier cosine series of
+  P_n (Swarztrauber 2002), at O(n) cost per node and with no recurrence.
+- Sizes below 100: two Halley steps from the cosine approximation.  Each
+  step runs one forward Legendre recurrence with per-node degrees
+  (_legendre_pair, three rotating out= buffers).  Halley converges
+  cubically, so two steps take the O(n^-2) guess below rounding.
 
 Odd sizes get the exact middle node 0.  One recurrence pass at the final
-nodes of both routes gives P_n and P_n', which feed the per-node residual
-check on |P_n(x_j)| (the only convergence guard) and the weights
+nodes of all routes gives P_n and P_n', which feed the per-node residual
+check on |P_n(x_j)| (the only convergence guard, whose largest ratio to
+its tolerance each rule keeps as .residual) and the weights
 
     w_j = 2 (1 + 2 x_j d_j / (1-x_j^2)) / ((1-x_j^2) P_n'(x_j)^2),
 
@@ -29,7 +32,8 @@ factor in d_j takes the weight from the rounded node back to the root.
 Nodes and weights are mirrored from the positive half, so
 x_j = -x_{n+1-j} and w_j = w_{n+1-j} hold exactly.  Every node is
 computed on its own, so a rule has the same bits whichever batch built
-it.  compute_rule(n) is a cache lookup, or compute_rules([n]).
+it.  compute_rule(n) is a cache lookup, or compute_rules([n]): for
+n >= 100 that runs the one recurrence pass, for smaller n three.
 
 apply_rule sums the products w_j f(x_j) with math.fsum, which rounds
 their exact sum once: error signals of order n^-4.5 sit close to
@@ -49,10 +53,19 @@ __all__ = ["QuadratureRule", "compute_rule", "compute_rules", "apply_rule"]
 _MAX_POINTS = 2000
 _HALLEY_STEPS = 2
 _ASYMPTOTIC_MIN_N = 100  # smallest size whose interior nodes skip the recurrence
-_EDGE_NODES = 8          # outermost nodes per size that take Halley steps anyway
+_EDGE_NODES = 8          # outermost nodes per size that take the Fourier series
+_EDGE_STEPS = 1
 _ASYMPTOTIC_TERMS = 20
 _ASYMPTOTIC_STEPS = 1
 _BLOCK_NODES = 32768  # positive-half nodes per batch, bounds the working set
+# the first _EDGE_NODES zeros j_{0,k} of the Bessel function J_0
+_J0_ZEROS = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013,
+                      11.791534439014281, 14.930917708487787,
+                      18.071063967910924, 21.21163662987926,
+                      24.352471530749302])
+# c_j = (2j-1)!! / (2j)!!, j = 0 .. _MAX_POINTS
+_C = np.concatenate([[1.0], np.cumprod((np.arange(1.0, _MAX_POINTS + 1) - 0.5)
+                                       / np.arange(1.0, _MAX_POINTS + 1))])
 
 
 @dataclass(frozen=True)
@@ -60,12 +73,15 @@ class QuadratureRule:
     """Immutable n-point Gauss-Legendre rule on [-1, 1].
 
     Construction checks the structure (sizes, order, symmetry, weights);
-    the builder checks that the nodes are roots of P_n.
+    the builder checks that the nodes are roots of P_n, and residual is
+    that check's max |P_n(x_j)| / tolerance over the nodes (at most 1;
+    nan for a rule made by hand).
     """
 
     n: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    residual: float = field(default=math.nan, compare=False)
 
     def __post_init__(self):
         x, w = self.nodes, self.weights
@@ -85,7 +101,7 @@ class QuadratureRule:
 
 # the 1-point rule is the midpoint rule
 _rules: dict[int, QuadratureRule] = {
-    1: QuadratureRule(1, np.zeros(1), np.full(1, 2.0))}
+    1: QuadratureRule(1, np.zeros(1), np.full(1, 2.0), residual=0.0)}
 
 
 def compute_rule(n: int) -> QuadratureRule:
@@ -148,11 +164,12 @@ def _legendre_pair(n, x: np.ndarray):
                 p_out[cut:k], pm_out[cut:k] = p[cut:], pm[cut:]
                 k, xs, p, pm = cut, xs[:cut], p[:cut], pm[:cut]
                 nxt, tmp = nxt[:cut], tmp[:cut]
-            np.multiply(xs, 2 * m + 1, out=nxt)
+            fm = float(m)   # a float scalar costs numpy less than an int
+            np.multiply(xs, fm + fm + 1.0, out=nxt)
             nxt *= p
-            np.multiply(pm, m, out=tmp)
+            np.multiply(pm, fm, out=tmp)
             nxt -= tmp
-            nxt /= m + 1
+            nxt /= fm + 1.0
             pm, p, nxt = p, nxt, pm
     p_out[:k], pm_out[:k] = p, pm
     return p_out, pm_out
@@ -169,18 +186,21 @@ def _nodes(sizes: list[int]) -> np.ndarray:
     concatenated, each size's nodes in descending order; the last node of
     an odd size is the exact middle node 0.
 
-    Node k = 1, 2, ... counts from x = 1.  Sizes from _ASYMPTOTIC_MIN_N
-    on take every node past the _EDGE_NODES outermost from _interior;
-    the rest take _HALLEY_STEPS Halley steps from the cosine guess.
+    Node k = 1, 2, ... counts from x = 1.  Sizes below _ASYMPTOTIC_MIN_N
+    take _HALLEY_STEPS Halley steps from the cosine guess; larger sizes
+    take their _EDGE_NODES outermost nodes from _edge and the rest from
+    _interior.  A route with no nodes is skipped.
     """
     halves = [(n + 1) // 2 for n in sizes]
     deg = np.repeat(sizes, halves)
     k = np.concatenate([np.arange(1, h + 1) for h in halves])
-    inner = (deg >= _ASYMPTOTIC_MIN_N) & (k > _EDGE_NODES)
-    edge = ~inner
+    small = deg < _ASYMPTOTIC_MIN_N
+    edge = ~small & (k <= _EDGE_NODES)
     x = np.empty(len(deg))
-    x[edge] = _halley(deg[edge], k[edge])
-    x[inner] = _interior(deg[inner], k[inner])
+    for route, at in ((_halley, small), (_edge, edge),
+                      (_interior, ~(small | edge))):
+        if at.any():
+            x[at] = route(deg[at], k[at])
     x[np.cumsum(halves)[np.array(sizes) % 2 == 1] - 1] = 0.0
     return x
 
@@ -200,6 +220,69 @@ def _halley(deg: np.ndarray, k: np.ndarray) -> np.ndarray:
         ddp = (2.0 * x * dp - deg * (deg + 1.0) * p) / ((1.0 - x) * (1.0 + x))
         x = x - d / (1.0 - d * ddp / (2.0 * dp))
     return x
+
+
+def _edge(deg: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Node k of P_deg for each point, from the Fourier series of P_n.
+
+    deg holds each size _EDGE_NODES times in a row, with k = 1, 2, ...
+    The start theta = psi + (psi cot psi - 1) / (8 psi nu^2), psi =
+    j_{0,k} / nu, nu = n + 1/2, is the boundary (Bessel) expansion of the
+    root (Hale & Townsend 2013), within about 1e-10 of it relative to
+    theta for n >= 100.  _EDGE_STEPS Newton steps in theta follow on
+
+        P_n(cos theta) = sum_j c_j c_{n-j} cos((n-2j) theta),
+        c_j = (2j-1)!! / (2j)!!
+
+    (Swarztrauber 2002), summed over j <= n/2, where the terms of j and
+    n-j are equal, and on its theta-derivative.  cos and sin of the
+    multiple angles come from t = tan(m theta / 2) as (1-t^2) / (1+t^2)
+    and 2t / (1+t^2): their absolute error is that of t relative to t
+    plus a few ulps of 1, about what the rounding of m theta costs cos
+    and sin too, and numpy's SIMD tan of float64 was about 15 times
+    faster than its cos or sin on an AVX-512 host.  Each point's sums
+    hold only its own size's terms, in one fixed order, so a rule has
+    the same bits in any batch.  Near x = 1, x = cos(theta) keeps the
+    relative accuracy of theta.
+    """
+    nu = deg + 0.5
+    psi = _J0_ZEROS[k - 1] / nu
+    theta = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * nu * nu)
+    # row k of theta holds node k of every size; the sizes go in chunks
+    # of at most about _BLOCK_NODES (node, term) pairs, which bounds the
+    # working set as the blocks of compute_rules do
+    theta = theta.reshape(-1, _EDGE_NODES).T
+    sizes = deg[::_EDGE_NODES]
+    chunk = (np.cumsum(sizes // 2 + 1) - 1) // (_BLOCK_NODES // _EDGE_NODES)
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(sizes)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        for _ in range(_EDGE_STEPS):
+            theta[:, lo:hi] += _fourier_step(sizes[lo:hi], theta[:, lo:hi])
+    return np.cos(theta.T.ravel())
+
+
+def _fourier_step(sizes: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The Newton step in theta on P_n(cos theta) for each node, where
+    row k of theta holds node k of each size.
+
+    The terms j = 0 .. n//2 of each size go one size after the other,
+    the term m = n - 2j = 0 of an even size with weight 1, the others
+    with weight 2.
+    """
+    h = sizes // 2 + 1
+    starts = np.cumsum(h) - h
+    n_t = np.repeat(sizes, h)
+    j = np.arange(len(n_t)) - np.repeat(starts, h)
+    m = (n_t - 2 * j).astype(float)
+    a = np.where(m > 0, 2.0, 1.0) * _C[j] * _C[n_t - j]
+    t = np.repeat(theta * 0.5, h, axis=1)
+    t *= m
+    np.tan(t, out=t)
+    t2 = t * t
+    r = 1.0 / (1.0 + t2)
+    p = np.add.reduceat((1.0 - t2) * r * a, starts, axis=1)
+    dp = np.add.reduceat(2.0 * t * r * (a * m), starts, axis=1)  # -dP/dtheta
+    return p / dp
 
 
 def _interior(deg: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -290,7 +373,8 @@ def _assemble(sizes: list[int], x: np.ndarray) -> list[QuadratureRule]:
         # bit; the middle node 0 of an odd size is not negated
         xh, wh = x[lo:lo + h], w[lo:lo + h]
         rules.append(QuadratureRule(n, np.concatenate([-xh[:n // 2], xh[::-1]]),
-                                    np.concatenate([wh, wh[::-1][n % 2:]])))
+                                    np.concatenate([wh, wh[::-1][n % 2:]]),
+                                    residual=r))
     return rules
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -143,9 +144,10 @@ def test_range_checks():
 
 
 # SHA-256 of nodes.tobytes() + weights.tobytes(), taken from the builder
-# with two Halley steps (sizes below 100 and the 8 edge nodes of larger
-# sizes), one asymptotic Newton step (the other nodes) and end-node weight
-# correction; every batch must reproduce these rules bit for bit
+# with two Halley steps (sizes below 100), one Newton step on the Fourier
+# series (the 8 edge nodes of larger sizes), one asymptotic Newton step
+# (their other nodes) and end-node weight correction; every batch must
+# reproduce these rules bit for bit
 RULE_SHA256 = {
     1: "0827fd05442d5279a37c60207e21a0e11585427eebdf4b2a0a35ded23a7cd9ed",
     2: "8bc3471ba32ae7c75bef5be0c0cae1fbe4940faff696dc66310240849cffd3c9",
@@ -219,12 +221,35 @@ def test_numpy_integer_sizes_accepted():
     assert compute_rule(np.int16(40)) is r40
 
 
-def test_too_few_steps_fail_the_residual_check(monkeypatch):
-    # the residual check is the builder's only convergence guard
+def test_one_halley_step_fails_the_residual_check(monkeypatch):
+    # the residual check is the builder's only convergence guard; sizes
+    # below 100 take the Halley steps
     monkeypatch.setattr(gauss_rule, "_rules", {})
     monkeypatch.setattr(gauss_rule, "_HALLEY_STEPS", 1)
-    with pytest.raises(ValueError, match="not roots of P_300"):
+    with pytest.raises(ValueError, match="not roots of P_20"):
         compute_rules([300, 20])
+
+
+def test_edge_start_alone_fails_the_residual_check(monkeypatch):
+    # the boundary start of the edge nodes is not a root to rounding at
+    # n = 100 (32x the tolerance); from n = 238 on it passes the check
+    monkeypatch.setattr(gauss_rule, "_rules", {})
+    monkeypatch.setattr(gauss_rule, "_EDGE_STEPS", 0)
+    with pytest.raises(ValueError, match="not roots of P_100"):
+        compute_rules([300, 100, 20])
+
+
+def test_residual_is_kept_on_the_rule():
+    # the residual check's largest |P_n(x_j)| / tolerance, at most 1
+    for n in (2, 15, 99, 100, 2000):
+        r = compute_rule(n)
+        assert 0.0 < r.residual <= 1.0
+    assert compute_rule(1).residual == 0.0
+    hand = gauss_rule.QuadratureRule(2, compute_rule(2).nodes.copy(),
+                                     compute_rule(2).weights.copy())
+    assert math.isnan(hand.residual)
+    assert not next(f for f in dataclasses.fields(hand)
+                    if f.name == "residual").compare
 
 
 def test_middle_node_is_positive_zero(monkeypatch):
@@ -262,10 +287,11 @@ def _assert_matches_mpmath(n, js):
             assert abs(weight * (1 - x * x) * dp * dp / 2 - 1) <= 16 * n * eps
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 11, 57, 600, 1000, 2000])
+@pytest.mark.parametrize("n", [2, 3, 7, 11, 57, 137, 600, 1000, 1999, 2000])
 def test_rule_accuracy_against_mpmath(n):
     # the 8 outermost nodes of the nonnegative half, where the weights lose
-    # most, and 8 seeded others
+    # most (from n = 100 on, the edge nodes of the Fourier series), and 8
+    # seeded others
     half = np.arange(n - 1, n // 2 - 1, -1)
     rng = np.random.default_rng(n)
     picks = np.concatenate([half[:8], rng.permutation(half[8:])[:8]])
@@ -281,9 +307,47 @@ def test_sizes_at_the_asymptotic_cut_off(n):
 
 @pytest.mark.parametrize("n", [100, 257, 1999])
 def test_nodes_either_side_of_the_edge_cut(n):
-    # nodes 8 (the last Halley node) and 9 (the first asymptotic node)
-    # counted from x = 1
+    # nodes 8 (the last edge-series node) and 9 (the first asymptotic
+    # node) counted from x = 1
     _assert_matches_mpmath(n, [n - 8, n - 9])
+
+
+def test_j0_zeros_match_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        zeros = [float(mp.besseljzero(0, k)) for k in range(1, 9)]
+    assert gauss_rule._J0_ZEROS.tolist() == zeros
+
+
+def test_edge_start_is_near_the_roots(monkeypatch):
+    # the boundary start alone, against the built edge nodes, relative
+    # to theta; arccos near x = 1 adds up to about 4e-11 of its own
+    sizes = range(100, 2001, 7)
+    built = [compute_rule(n).nodes[:-9:-1] for n in sizes]
+    monkeypatch.setattr(gauss_rule, "_EDGE_STEPS", 0)
+    worst = 0.0
+    for n, nodes in zip(sizes, built):
+        start = gauss_rule._edge(np.full(8, n), np.arange(1, 9))
+        theta = np.arccos(nodes)
+        worst = max(worst, np.max(np.abs(np.arccos(start) - theta) / theta))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("n,passes", [(100, 1), (300, 1), (2000, 1),
+                                      (50, 3), (99, 3)])
+def test_legendre_passes_of_a_size_built_alone(monkeypatch, n, passes):
+    # from n = 100 on only the final pass of _assemble runs a recurrence;
+    # smaller sizes add their two Halley steps
+    calls = []
+    pair = gauss_rule._legendre_pair
+
+    def counted(deg, x):
+        calls.append(len(x))
+        return pair(deg, x)
+
+    monkeypatch.setattr(gauss_rule, "_legendre_pair", counted)
+    _cold_batch(monkeypatch, [n])
+    assert len(calls) == passes
 
 
 def test_asymptotic_nodes_without_newton_fail_the_residual_check(monkeypatch):
@@ -327,14 +391,15 @@ def test_rules_to_600_pinned(monkeypatch):
     for r in _cold_batch(monkeypatch, range(1, 601)):
         h.update(r.nodes.tobytes())
         h.update(r.weights.tobytes())
-    assert h.hexdigest() == ("04e1660cf6363b79fc8134c2f5ff87caf713261b6e4a"
-                             "8dc0fb8e91b76023c068")
+    assert h.hexdigest() == ("d1a726d342be18e28b7c97fdd9f388c534fedf1c3b3c"
+                             "d690066237148e2c5ab7")
 
 
 def test_recurrence_work(monkeypatch):
     # sum of the per-point degrees the recurrence runs for a cold 1..600
-    # build; re-evaluating every node on every pass took 252,945,489, and
-    # two Halley steps at every node 108,405,147
+    # build, 36,465,897; re-evaluating every node on every pass took
+    # 252,945,489, two Halley steps at every node 108,405,147, and two
+    # Halley steps at the 8 edge nodes of n >= 100 39,271,497
     work = []
     pair = gauss_rule._legendre_pair
 
@@ -344,7 +409,7 @@ def test_recurrence_work(monkeypatch):
 
     monkeypatch.setattr(gauss_rule, "_legendre_pair", counted)
     _cold_batch(monkeypatch, range(1, 601))
-    assert sum(work) <= 42_000_000
+    assert sum(work) <= 36_500_000
 
 
 def test_import_leaves_numpy_polynomial_out():

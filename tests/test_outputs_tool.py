@@ -25,6 +25,7 @@ def _small_record() -> dict:
                             ("powerlog(0.4, 0, 0.5)", 0, 0.5, 100, 110)])
     outputs.record(out, "leading_term", "a raise",
                    lambda: sq.leading_term(pairs[0][1], 9))
+    outputs.rules(out, sizes=(1, 2, 3, 101))
     return out
 
 
@@ -32,7 +33,8 @@ def test_self_diff_moves_nothing_and_an_ulp_moves_one(tmp_path, capsys):
     out = _small_record()
     assert out["leading_term"]["a raise"].startswith("raise ValueError: ")
     assert set(out) == {"leading_term", "recommend_n", "psi0_solve",
-                        "coefficient_bounds", "log_envelope_constants"}
+                        "coefficient_bounds", "log_envelope_constants",
+                        "rules"}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     outputs.write(str(a), out)
     assert outputs.diff(str(a), str(a)) == 0
@@ -58,3 +60,18 @@ def test_moves_that_are_not_ulps():
     assert outputs.ulps("raise RuntimeError: x", "0x1.0p+0") == math.inf
     assert outputs.compare({"k": {"x": "a"}}, {"k": {"y": "a"}}) \
         == {"k": (2, 2, math.inf)}
+
+
+def test_rule_digests_from_one_cold_batch():
+    cached = sq.compute_rule(32)
+    out = {}
+    outputs.rules(out, sizes=(3, 101))
+    r = sq.compute_rule(101)
+    assert out["rules"] == {
+        "n=3": outputs._sha256(sq.compute_rule(3).nodes.tobytes()
+                               + sq.compute_rule(3).weights.tobytes()),
+        "n=101": outputs._sha256(r.nodes.tobytes() + r.weights.tobytes())}
+    assert sq.compute_rule(32) is cached   # the cache is put back
+    out = {}
+    outputs.rules(out, sizes=(0,))
+    assert out["rules"]["batch"].startswith("raise ValueError: ")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record singquad's predictor outputs bit for bit, and compare two records.
+"""Record singquad's outputs bit for bit, and compare two records.
 
     python3 tools/outputs.py dump OUT.json [--src DIR]
     python3 tools/outputs.py diff A.json B.json
@@ -22,6 +22,8 @@ commit extracted with `git archive`.  A call that raises is recorded as
   example                 SHA-256 of the CSV and of stdout of
                           `singquad example 1..5`, and of two runs at
                           b = 0, where b is a Gauss node for odd n
+  rules                   SHA-256 of the nodes then weights of each rule
+                          n = 1..2000, all built in one cold batch
 
 diff prints, for each kind, how many outputs there are, how many moved
 (any bit, a different raise, or present on one side only) and the
@@ -47,6 +49,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (10, 11, 57, 100, 101, 600, 999, 1000, 1999, 2000)
+RULE_SIZES = range(1, 2001)
 PLAN_SEEDS = (1, 2)
 EXAMPLES = (["1"], ["2"], ["3"], ["4"], ["5"],
             ["1", "--b", "0", "--nmax", "200"],
@@ -67,8 +70,16 @@ def record(out: dict, kind: str, key: str, fn) -> None:
     try:
         value = _encode(fn())
     except Exception as exc:   # the raise is itself an output
-        value = f"raise {type(exc).__name__}: {exc}"
+        value = _raised(exc)
     out.setdefault(kind, {})[key] = value
+
+
+def _raised(exc: Exception) -> str:
+    return f"raise {type(exc).__name__}: {exc}"
+
+
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def integrands(sq, rng: random.Random):
@@ -140,9 +151,6 @@ def examples(out: dict, runs=EXAMPLES) -> None:
     """[exit status, SHA-256 of the CSV, of stdout] of each example run."""
     from singquad.cli import main
 
-    def sha256(data: bytes) -> str:
-        return "sha256:" + hashlib.sha256(data).hexdigest()
-
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "example.csv"
 
@@ -151,12 +159,31 @@ def examples(out: dict, runs=EXAMPLES) -> None:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = main(["example", *args, "--out", str(csv)])
-            return (code, sha256(csv.read_bytes()),
-                    sha256(stdout.getvalue().encode()))
+            return (code, _sha256(csv.read_bytes()),
+                    _sha256(stdout.getvalue().encode()))
 
         for args in runs:
             record(out, "example", "example " + " ".join(args),
                    lambda: run(args))
+
+
+def rules(out: dict, sizes=RULE_SIZES) -> None:
+    """The SHA-256 of each size's nodes then weights, all built in one
+    batch with only the midpoint rule cached; the cache is put back
+    after.  A batch that raises is recorded as the output "batch"."""
+    from singquad import gauss_rule
+    cache = gauss_rule._rules
+    gauss_rule._rules = {1: cache[1]}
+    try:
+        built = gauss_rule.compute_rules(sizes)
+    except Exception as exc:   # the raise is itself an output
+        out.setdefault("rules", {})["batch"] = _raised(exc)
+        return
+    finally:
+        gauss_rule._rules = cache
+    for r in built:
+        out.setdefault("rules", {})[f"n={r.n}"] = _sha256(
+            r.nodes.tobytes() + r.weights.tobytes())
 
 
 def dump(path: str, src: str) -> None:
@@ -166,6 +193,7 @@ def dump(path: str, src: str) -> None:
     leading_terms(sq, out, integrands(sq, random.Random("tools/outputs")))
     plans(sq, out, plan_items())
     examples(out)
+    rules(out)
     write(path, out)
 
 
